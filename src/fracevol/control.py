@@ -28,7 +28,10 @@ from .greens import (
     ResponseAssembly,
     SolveReport,
     Trajectory,
-    endpoint_response_rows,
+    _eval_source,
+    _fixed_point,
+    _pinning_gap,
+    _ratio,
     solve_mild,
 )
 
@@ -123,13 +126,7 @@ def apply_K(problem: ProblemSpec, mu: SampledFn) -> Trajectory:
 
 def nemytskii(problem: ProblemSpec, z: Trajectory) -> Trajectory:
     """Node-wise application of the source term to a trajectory."""
-    if problem.nonlinearity is None:
-        return Trajectory(z.grid, np.zeros_like(z.states))
-    fn = problem.nonlinearity.fn
-    out = np.empty_like(z.states)
-    for i, t in enumerate(z.grid.nodes):
-        out[i] = np.asarray(fn(float(t), z.states[i]), dtype=float)
-    return Trajectory(z.grid, out)
+    return Trajectory(z.grid, _eval_source(problem, z.grid.nodes, z.states))
 
 
 def solution_map_W(
@@ -165,59 +162,36 @@ def regularized_W(
     if mu_vals.ndim == 1:
         mu_vals = mu_vals[:, None]
     asm = ResponseAssembly(problem, grid)
-    u = np.zeros((grid.n_steps + 1, problem.n_modes))
-    diffs: list[float] = []
-    source = np.zeros_like(u)
-    for _ in range(max_iter):
-        source = _source_values(problem, grid, u)
-        u_next = asm.response(source + mu_vals) + source / n
-        diff = float(np.max(np.abs(u_next - u)))
-        diffs.append(diff)
-        u = u_next
-        if diff <= tol:
-            break
-    else:
-        est = diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0.0 else math.inf
-        raise ConvergenceError(
-            "regularized iteration did not reach tolerance",
-            iterations=max_iter,
-            final_residual=diffs[-1],
-            contraction_estimate=est,
-            trace=diffs,
-        )
-    traj = Trajectory(grid, u)
-    contraction = diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0.0 else 0.0
-    pin_sum = np.zeros(problem.n_modes)
-    for ck, tk in zip(problem.coupling.weights, problem.coupling.times):
-        j, theta = grid.locate(float(tk))
-        state = u[j] if theta == 0.0 else (1.0 - theta) * u[j] + theta * u[j + 1]
-        pin_sum += ck * state
-    gap = u[0] - pin_sum
+
+    def step(u: np.ndarray) -> np.ndarray:
+        source = _eval_source(problem, grid.nodes, u)
+        return asm.response(source + mu_vals) + source / n
+
+    shape = (grid.n_steps + 1, problem.n_modes)
+    what = "regularized iteration"
+    u, diffs = _fixed_point(step, shape, tol=tol, max_iter=max_iter, what=what)
     report = SolveReport(
         iterations=len(diffs),
         final_residual=diffs[-1],
-        nonlocal_residual=float(np.sqrt(np.sum(gap * gap))),
-        contraction_estimate=contraction,
+        nonlocal_residual=_pinning_gap(problem, u, grid),
+        contraction_estimate=_ratio(diffs, 0.0),
         control_sup=float(np.max(np.sqrt(np.sum(mu_vals ** 2, axis=1)))),
     )
-    return traj, report
+    return Trajectory(grid, u), report
 
 
-def _source_values(problem: ProblemSpec, grid: TimeGrid, states: np.ndarray) -> np.ndarray:
-    if problem.nonlinearity is None:
-        return np.zeros_like(states)
-    fn = problem.nonlinearity.fn
-    out = np.empty_like(states)
-    for i, t in enumerate(grid.nodes):
-        out[i] = np.asarray(fn(float(t), states[i]), dtype=float)
-    return out
-
-
-def _steering_rows(problem: ProblemSpec, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(bare endpoint rows, gain-scaled rows) of the forcing-to-endpoint map."""
-    rows = endpoint_response_rows(problem, grid)
-    gains = np.asarray(problem.control_gains, dtype=float)
-    return rows, gains[:, None] * rows
+def _steering_setup(problem: ProblemSpec, grid: TimeGrid):
+    """(assembly, bare endpoint rows, gain-scaled rows, Gramian) of (problem, grid)."""
+    if problem.alpha <= 0.5:
+        raise UnsupportedRegimeError(
+            f"gramian needs alpha > 1/2; alpha = {problem.alpha} makes the "
+            "squared endpoint kernel non-integrable"
+        )
+    asm = ResponseAssembly(problem, grid)
+    rows = asm.endpoint_rows()
+    scaled = problem.control_gains[:, None] * rows
+    omega = trapezoid_weights(grid)
+    return asm, rows, scaled, np.sum(scaled * scaled / omega[None, :], axis=1)
 
 
 def gramian(problem: ProblemSpec, grid: TimeGrid) -> np.ndarray:
@@ -231,14 +205,7 @@ def gramian(problem: ProblemSpec, grid: TimeGrid) -> np.ndarray:
     discrete sum then diverges under grid refinement instead of
     converging.
     """
-    if problem.alpha <= 0.5:
-        raise UnsupportedRegimeError(
-            f"gramian needs alpha > 1/2; alpha = {problem.alpha} makes the "
-            "squared endpoint kernel non-integrable"
-        )
-    _, scaled = _steering_rows(problem, grid)
-    omega = trapezoid_weights(grid)
-    return np.sum(scaled * scaled / omega[None, :], axis=1)
+    return _steering_setup(problem, grid)[3]
 
 
 def steer(
@@ -257,7 +224,8 @@ def steer(
     contribution of the current trajectory frozen: per mode the control is
     the endpoint row scaled by (target - source endpoint) / (rho + Gamma),
     then the semilinear problem is re-solved under that control.  Stops
-    when the achieved endpoint moves less than tol between passes.
+    when the achieved endpoint moves less than tol between passes.  The
+    Gramian, the endpoint rows and every solve share one ResponseAssembly.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (problem.n_modes,) or not np.all(np.isfinite(target)):
@@ -266,16 +234,14 @@ def steer(
         raise DomainError("rho must be positive")
     if max_outer < 1:
         raise DomainError("max_outer must be positive")
-    gamma_modes = gramian(problem, grid)  # also enforces the alpha regime
-    rows, scaled = _steering_rows(problem, grid)
+    asm, rows, scaled, gamma_modes = _steering_setup(problem, grid)
     omega = trapezoid_weights(grid)
-    n_nodes = grid.n_steps + 1
 
-    traj, _ = solve_mild(problem, grid, tol=solve_tol)
+    traj, _ = asm.solve(tol=solve_tol)
     if np.all(problem.control_gains == 0.0):
         endpoint = traj.final
         err = float(np.linalg.norm(endpoint - target))
-        zero = ControlSignal(grid, np.zeros((n_nodes, problem.n_modes)))
+        zero = ControlSignal(grid, np.zeros((grid.n_steps + 1, problem.n_modes)))
         return SteeringResult(
             control=zero,
             endpoint=endpoint,
@@ -290,24 +256,23 @@ def steer(
     endpoint = traj.final
     trace: list[float] = []
     for outer in range(1, max_outer + 1):
-        source = _source_values(problem, grid, traj.states)
+        source = _eval_source(problem, grid.nodes, traj.states)
         source_endpoint = np.einsum("mj,jm->m", rows, source)
         mismatch = (target - source_endpoint) / (rho + gamma_modes)
         v = (scaled / omega[None, :]) * mismatch[:, None]  # (modes, nodes)
         signal = ControlSignal(grid, v.T.copy())
-        traj, _ = solve_mild(problem, grid, signal, tol=solve_tol)
+        traj, _ = asm.solve(signal, tol=solve_tol)
         change = float(np.linalg.norm(traj.final - endpoint))
         endpoint = traj.final
         trace.append(change)
         if change <= tol:
             break
     else:
-        est = trace[-1] / trace[-2] if len(trace) > 1 and trace[-2] > 0.0 else math.inf
         raise ConvergenceError(
             "steering outer loop did not settle",
             iterations=max_outer,
             final_residual=trace[-1],
-            contraction_estimate=est,
+            contraction_estimate=_ratio(trace, math.inf),
             trace=trace,
         )
     energy = float(np.sum(omega[None, :] * v * v))

@@ -118,21 +118,6 @@ def _uniform_kernel(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return k, mu1
 
 
-def _power_convolution(alpha: float, grid: TimeGrid, values: np.ndarray) -> np.ndarray:
-    """integral_0^{t_i} (t_i - s)**(alpha-1) * interp(values)(s) ds, all i."""
-    n = grid.n_steps
-    k, mu1 = _uniform_kernel(alpha, n)
-    scale = grid.delta ** alpha
-    if values.ndim == 1:
-        out = np.convolve(k, values)[: n + 1] - mu1[1 : n + 2] * values[0]
-        return scale * out
-    out = np.empty_like(values)
-    for m in range(values.shape[1]):
-        col = np.convolve(k, values[:, m])[: n + 1] - mu1[1 : n + 2] * values[0, m]
-        out[:, m] = col
-    return scale * out
-
-
 def power_kernel_weights(alpha: float, grid: TimeGrid, t: float) -> np.ndarray:
     """Quadrature weights w with w . values ~= integral_0^t (t-s)**(a-1) f(s) ds.
 
@@ -170,8 +155,8 @@ def power_kernel_weights(alpha: float, grid: TimeGrid, t: float) -> np.ndarray:
 
 def rl_integral(alpha: float, f: SampledFn) -> SampledFn:
     """Fractional integral of order alpha at every grid node; node 0 is 0."""
-    alpha = _check_order(alpha, allow_one=True)
-    conv = _power_convolution(alpha, f.grid, f.values)
+    # the power kernel is the singular product quadrature with h = 1
+    conv = singular_convolution_all(alpha, np.ones(f.grid.n_steps + 1), f)
     return SampledFn(f.grid, conv / gamma(alpha))
 
 

@@ -94,12 +94,15 @@ class NonlocalSpec:
 class Nonlinearity:
     """State-dependent source term with its declared growth data.
 
-    fn maps (t, mode_vector) to a mode vector.  lipschitz_bound and
-    source_bound are the constants entering the contraction and growth
-    estimates; they describe fn, they are not enforced pointwise.
+    fn maps (times, states), the (n_nodes,) node times and (n_nodes, n_modes)
+    mode vectors, to source values shaped like states, for all nodes in one
+    call; a single (t, mode_vector) row works when fn's arithmetic broadcasts.
+    lipschitz_bound and source_bound are the constants entering the
+    contraction and growth estimates; they describe fn, they are not
+    enforced pointwise.
     """
 
-    fn: Callable[[float, np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lipschitz_bound: float
     source_bound: float
 
@@ -271,13 +274,85 @@ def _lag_tables(model: SpectralModel, alpha: float, grid: TimeGrid) -> np.ndarra
     return tables
 
 
+def _decay_table(problem: ProblemSpec, times: np.ndarray) -> np.ndarray:
+    """decay_factors at each of the given times, one row per time."""
+    rows = [decay_factors(problem.model, problem.alpha, float(t)) for t in times]
+    return np.array(rows).reshape(len(times), problem.n_modes)
+
+
+def _eval_source(problem: ProblemSpec, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The Nemytskii operator: the source at every node, in one call.
+
+    A non-finite or misshapen result raises DomainError naming its first node.
+    """
+    if problem.nonlinearity is None:
+        return np.zeros_like(states)
+    out = np.asarray(problem.nonlinearity.fn(times, states), dtype=float)
+    if out.shape != states.shape:
+        raise DomainError(
+            f"source produced shape {out.shape} instead of {states.shape}, "
+            f"starting at node 0, time t = {float(times[0])!r}"
+        )
+    bad = ~np.all(np.isfinite(out), axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"source produced a non-finite value at node {i}, time t = {float(times[i])!r}"
+        )
+    return out
+
+
+def _ratio(diffs: list[float], default: float) -> float:
+    """Last residual over the one before it: the observed contraction."""
+    return diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0.0 else default
+
+
+def _fixed_point(
+    step: Callable[[np.ndarray], np.ndarray],
+    shape: tuple[int, int],
+    *,
+    tol: float,
+    max_iter: int,
+    damping: float = 1.0,
+    what: str = "Picard iteration",
+) -> tuple[np.ndarray, list[float]]:
+    """Iterate u <- step(u) from zero until the sup-norm update is <= tol.
+
+    Returns the last iterate and the update history, or raises
+    ConvergenceError with both when max_iter updates do not get there.
+    """
+    if not (0.0 < damping <= 1.0):
+        raise DomainError("damping must lie in (0, 1]")
+    if max_iter < 1:
+        raise DomainError("max_iter must be positive")
+    u = np.zeros(shape)
+    diffs: list[float] = []
+    for _ in range(max_iter):
+        u_next = step(u)
+        if damping != 1.0:
+            u_next = (1.0 - damping) * u + damping * u_next
+        diff = float(np.max(np.abs(u_next - u)))
+        diffs.append(diff)
+        u = u_next
+        if diff <= tol:
+            return u, diffs
+    raise ConvergenceError(
+        f"{what} did not reach tolerance",
+        iterations=max_iter,
+        final_residual=diffs[-1],
+        contraction_estimate=_ratio(diffs, math.inf),
+        trace=diffs,
+    )
+
+
 class ResponseAssembly:
     """Everything about (problem, grid) that does not change across iterations.
 
     Holds the per-mode inverse factors, decay samples, convolution lag
-    tables, and the quadrature rows at the pinning times; the control
-    module reuses it so steering functionals and solves share one
-    discretization exactly.
+    tables, and the quadrature rows at the pinning times.  Build it once
+    per (problem, grid): solve runs the Picard iteration on it and
+    endpoint_rows gives the steering functionals under exactly the same
+    discretization.
     """
 
     def __init__(self, problem: ProblemSpec, grid: TimeGrid):
@@ -287,10 +362,7 @@ class ResponseAssembly:
         self.grid = grid
         self.o = build_O(problem.model, problem.alpha, problem.coupling)
         n_modes = problem.n_modes
-        nodes = grid.nodes
-        self.decay_nodes = np.empty((grid.n_steps + 1, n_modes))
-        for i, t in enumerate(nodes):
-            self.decay_nodes[i] = decay_factors(problem.model, problem.alpha, float(t))
+        self.decay_nodes = _decay_table(problem, grid.nodes)
         self.lag_tables = _lag_tables(problem.model, problem.alpha, grid)
         # weight rows turning sampled forcing into the response integral at
         # each pinning time; pinning times may sit strictly between nodes
@@ -300,9 +372,7 @@ class ResponseAssembly:
                 self.pin_rows[k, m] = singular_kernel_weights(
                     problem.alpha, _ml_kernel(problem.alpha, lam), grid, float(tk)
                 )
-        self.decay_at_pins = np.empty((problem.coupling.n_points, n_modes))
-        for k, tk in enumerate(problem.coupling.times):
-            self.decay_at_pins[k] = decay_factors(problem.model, problem.alpha, float(tk))
+        self.decay_at_pins = _decay_table(problem, problem.coupling.times)
 
     def convolve_all(self, forcing: np.ndarray) -> np.ndarray:
         """Response integral at every node; forcing is (n_nodes, n_modes)."""
@@ -327,28 +397,67 @@ class ResponseAssembly:
         u0 = self.initial_state(forcing)
         return self.decay_nodes * u0[None, :] + self.convolve_all(forcing)
 
+    def endpoint_rows(self) -> np.ndarray:
+        """Per-mode weight rows of the forcing-to-endpoint map, gains excluded.
+
+        Row m dotted with sampled mode-m forcing gives mode m of the state
+        at the horizon, under exactly the discretization solve uses.  The
+        rows are the discrete samples of the endpoint kernel of the
+        combined response (direct part plus pinning corrections).
+        """
+        problem, grid = self.problem, self.grid
+        rows = np.empty((problem.n_modes, grid.n_steps + 1))
+        for m, lam in enumerate(problem.model.lambdas):
+            end_row = singular_kernel_weights(
+                problem.alpha, _ml_kernel(problem.alpha, lam), grid, grid.horizon
+            )
+            pin_part = np.zeros(grid.n_steps + 1)
+            for ck, pin_row in zip(problem.coupling.weights, self.pin_rows[:, m]):
+                pin_part += ck * pin_row
+            rows[m] = self.decay_nodes[-1, m] * self.o[m] * pin_part + end_row
+        return rows
+
+    def solve(
+        self,
+        control: SampledFn | None = None,
+        *,
+        raw_forcing: SampledFn | None = None,
+        tol: float = SOLVE_TOL_DEFAULT,
+        max_iter: int = SOLVE_MAX_ITER_DEFAULT,
+        damping: float = 1.0,
+    ) -> tuple[Trajectory, SolveReport]:
+        """solve_mild on this assembly's (problem, grid)."""
+        problem, grid = self.problem, self.grid
+        base = _forcing_base(problem, grid, control, raw_forcing)
+        control_sup = float(np.max(np.sqrt(np.sum(base * base, axis=1)))) if base.size else 0.0
+        forcing = base
+
+        def step(u: np.ndarray) -> np.ndarray:
+            nonlocal forcing
+            forcing = base + _eval_source(problem, grid.nodes, u)
+            return self.response(forcing)
+
+        u, diffs = _fixed_point(
+            step, base.shape, tol=tol, max_iter=max_iter, damping=damping
+        )
+        # final consistency of the pinning identity, under the same quadrature
+        pins = self.pin_responses(forcing)
+        u0 = self.initial_state(forcing)
+        state_at_pins = self.decay_at_pins * u0[None, :] + pins
+        gap = u0 - problem.coupling.weights @ state_at_pins
+        report = SolveReport(
+            iterations=len(diffs),
+            final_residual=diffs[-1],
+            nonlocal_residual=float(np.sqrt(np.sum(gap * gap))),
+            contraction_estimate=_ratio(diffs, 0.0),
+            control_sup=control_sup,
+        )
+        return Trajectory(grid, u), report
+
 
 def endpoint_response_rows(problem: ProblemSpec, grid: TimeGrid) -> np.ndarray:
-    """Per-mode weight rows of the forcing-to-endpoint map, gains excluded.
-
-    Row m dotted with sampled mode-m forcing gives mode m of the state at
-    the horizon, under exactly the discretization solve_mild uses.  The
-    rows are the discrete samples of the endpoint kernel of the combined
-    response (direct part plus pinning corrections).
-    """
-    asm = ResponseAssembly(problem, grid)
-    n_modes = problem.n_modes
-    rows = np.empty((n_modes, grid.n_steps + 1))
-    weights = problem.coupling.weights
-    for m, lam in enumerate(problem.model.lambdas):
-        end_row = singular_kernel_weights(
-            problem.alpha, _ml_kernel(problem.alpha, lam), grid, grid.horizon
-        )
-        pin_part = np.zeros(grid.n_steps + 1)
-        for k in range(problem.coupling.n_points):
-            pin_part += weights[k] * asm.pin_rows[k, m]
-        rows[m] = asm.decay_nodes[-1, m] * asm.o[m] * pin_part + end_row
-    return rows
+    """ResponseAssembly(problem, grid).endpoint_rows(), for a single use."""
+    return ResponseAssembly(problem, grid).endpoint_rows()
 
 
 def _forcing_base(
@@ -380,19 +489,6 @@ def _forcing_base(
     return base
 
 
-def _eval_source(problem: ProblemSpec, grid: TimeGrid, states: np.ndarray) -> np.ndarray:
-    if problem.nonlinearity is None:
-        return np.zeros_like(states)
-    fn = problem.nonlinearity.fn
-    out = np.empty_like(states)
-    for i, t in enumerate(grid.nodes):
-        row = np.asarray(fn(float(t), states[i]), dtype=float)
-        if row.shape != (states.shape[1],):
-            raise DomainError("nonlinearity must return a mode vector")
-        out[i] = row
-    return out
-
-
 def solve_mild(
     problem: ProblemSpec,
     grid: TimeGrid,
@@ -409,66 +505,23 @@ def solve_mild(
     (the control module uses it to probe the solution map with arbitrary
     forcing).  Stops when the sup-norm update falls to tol; raises
     ConvergenceError carrying the observed contraction ratio otherwise.
+    To solve repeatedly on one grid, build a ResponseAssembly once and
+    call its solve.
     """
-    if not (0.0 < damping <= 1.0):
-        raise DomainError("damping must lie in (0, 1]")
-    if max_iter < 1:
-        raise DomainError("max_iter must be positive")
-    asm = ResponseAssembly(problem, grid)
-    base = _forcing_base(problem, grid, control, raw_forcing)
-    control_sup = float(np.max(np.sqrt(np.sum(base * base, axis=1)))) if base.size else 0.0
-
-    n_nodes = grid.n_steps + 1
-    u = np.zeros((n_nodes, problem.n_modes))
-    diffs: list[float] = []
-    forcing = base
-    for iteration in range(1, max_iter + 1):
-        forcing = base + _eval_source(problem, grid, u)
-        conv = asm.convolve_all(forcing)
-        u0 = asm.initial_state(forcing)
-        u_next = asm.decay_nodes * u0[None, :] + conv
-        if damping != 1.0:
-            u_next = (1.0 - damping) * u + damping * u_next
-        diff = float(np.max(np.abs(u_next - u)))
-        diffs.append(diff)
-        u = u_next
-        if diff <= tol:
-            break
-    else:
-        est = diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0.0 else math.inf
-        raise ConvergenceError(
-            "Picard iteration did not reach tolerance",
-            iterations=max_iter,
-            final_residual=diffs[-1],
-            contraction_estimate=est,
-            trace=diffs,
-        )
-
-    if len(diffs) > 1 and diffs[-2] > 0.0:
-        contraction = diffs[-1] / diffs[-2]
-    else:
-        contraction = 0.0
-    # final consistency of the pinning identity, under the same quadrature
-    pins = asm.pin_responses(forcing)
-    u0 = asm.initial_state(forcing)
-    state_at_pins = asm.decay_at_pins * u0[None, :] + pins
-    gap = u0 - problem.coupling.weights @ state_at_pins
-    nonlocal_residual = float(np.sqrt(np.sum(gap * gap)))
-    report = SolveReport(
-        iterations=len(diffs),
-        final_residual=diffs[-1],
-        nonlocal_residual=nonlocal_residual,
-        contraction_estimate=contraction,
-        control_sup=control_sup,
+    return ResponseAssembly(problem, grid).solve(
+        control, raw_forcing=raw_forcing, tol=tol, max_iter=max_iter, damping=damping
     )
-    return Trajectory(grid, u), report
 
 
-def _interp_states(traj: Trajectory, t: float) -> np.ndarray:
-    j, theta = traj.grid.locate(t)
-    if theta == 0.0:
-        return traj.states[j]
-    return (1.0 - theta) * traj.states[j] + theta * traj.states[j + 1]
+def _pinning_gap(problem: ProblemSpec, states: np.ndarray, grid: TimeGrid) -> float:
+    """|u(0) - sum_k c_k u(t_k)| with u(t_k) linearly interpolated."""
+    pin_sum = np.zeros(problem.n_modes)
+    for ck, tk in zip(problem.coupling.weights, problem.coupling.times):
+        j, theta = grid.locate(float(tk))
+        u = states[j] if theta == 0.0 else (1.0 - theta) * states[j] + theta * states[j + 1]
+        pin_sum += ck * u
+    gap = states[0] - pin_sum
+    return float(np.sqrt(np.sum(gap * gap)))
 
 
 def verify_mild(
@@ -490,7 +543,7 @@ def verify_mild(
     delta = grid.delta
     alpha = problem.alpha
     base = _forcing_base(problem, grid, control, raw_forcing)
-    forcing = base + _eval_source(problem, grid, traj.states)
+    forcing = base + _eval_source(problem, grid.nodes, traj.states)
     u0 = traj.initial
 
     # midpoint smooth-kernel samples at half-integer lags
@@ -505,9 +558,7 @@ def verify_mild(
 
     avg = 0.5 * (forcing[:-1] + forcing[1:])  # panel-average forcing
     node_residuals = np.zeros(n + 1)
-    decay_nodes = np.empty((n + 1, problem.n_modes))
-    for i, t in enumerate(grid.nodes):
-        decay_nodes[i] = decay_factors(problem.model, alpha, float(t))
+    decay_nodes = _decay_table(problem, grid.nodes)
     for i in range(1, n + 1):
         # panels j = 0..i-1, lag distance i-j-1/2, moment index i-j-1
         conv = np.zeros(problem.n_modes)
@@ -518,13 +569,9 @@ def verify_mild(
         gap = traj.states[i] - predicted
         node_residuals[i] = float(np.sqrt(np.sum(gap * gap)))
 
-    pin_sum = np.zeros(problem.n_modes)
-    for ck, tk in zip(problem.coupling.weights, problem.coupling.times):
-        pin_sum += ck * _interp_states(traj, float(tk))
-    gap0 = u0 - pin_sum
     return VerificationReport(
         equation_residual=float(np.max(node_residuals)),
-        nonlocal_residual=float(np.sqrt(np.sum(gap0 * gap0))),
+        nonlocal_residual=_pinning_gap(problem, traj.states, grid),
         node_residuals=node_residuals,
     )
 
@@ -594,7 +641,8 @@ def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity
     Represents u(x) on (0, pi) from its first n_modes coefficients,
     applies x -> sin(x) pointwise with the 1/(t**2 + 1) decay factor, and
     projects back.  Pointwise 1-Lipschitz transforms preserve the discrete
-    norms, so the declared constants are 1 and sqrt(pi).
+    norms, so the declared constants are 1 and sqrt(pi).  All rows are
+    transformed by one DST each way; a single (t, u) row works as well.
     """
     if collocation < n_modes:
         raise DomainError("collocation must be at least the mode count")
@@ -602,24 +650,25 @@ def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity
     synth_scale = math.sqrt(1.0 / (2.0 * math.pi))
     anal_scale = math.sqrt(math.pi / 2.0) / (k + 1)
 
-    def fn(t: float, u: np.ndarray) -> np.ndarray:
-        coeff = np.zeros(k)
-        coeff[: u.shape[0]] = u
-        point_vals = synth_scale * scipy.fft.dst(coeff, type=1)
-        transformed = np.sin(point_vals) / (t * t + 1.0)
-        back = anal_scale * scipy.fft.dst(transformed, type=1)
-        return back[: u.shape[0]]
+    def fn(t, u: np.ndarray) -> np.ndarray:
+        n = u.shape[-1]
+        coeff = np.zeros(u.shape[:-1] + (k,))
+        coeff[..., :n] = u
+        point_vals = synth_scale * scipy.fft.dst(coeff, type=1, axis=-1)
+        transformed = np.sin(point_vals) / np.asarray(t * t + 1.0)[..., None]
+        back = anal_scale * scipy.fft.dst(transformed, type=1, axis=-1)
+        return back[..., :n]
 
     return Nonlinearity(fn=fn, lipschitz_bound=1.0, source_bound=math.sqrt(math.pi))
 
 
 def mode_gain_source(gains: np.ndarray) -> Nonlinearity:
-    """Linear diagonal source f(t, u) = gains * u."""
+    """Linear diagonal source f(t, u) = gains * u, on one row or all rows."""
     gains = np.atleast_1d(np.asarray(gains, dtype=float))
     if gains.ndim != 1 or not np.all(np.isfinite(gains)):
         raise DomainError("gains must be a finite vector")
 
-    def fn(t: float, u: np.ndarray) -> np.ndarray:
+    def fn(t, u: np.ndarray) -> np.ndarray:
         return gains * u
 
     return Nonlinearity(

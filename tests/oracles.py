@@ -14,6 +14,7 @@ against each other on an overlap grid first.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -207,12 +208,15 @@ def resolvent_kernel_integral(alpha: float, lam: float, t: float) -> float:
         return float(tt ** a * s)
 
 
+@functools.lru_cache(maxsize=None)
 def laplace_of_resolvent_kernel(alpha: float, lam: float, nu: float,
                                 horizon: float) -> float:
     """Truncated Laplace transform of the resolvent kernel by mp quadrature.
 
     The inner series cancels about 0.45 * (lam * t**a)**(1/a) digits at
     each evaluation point, so its working precision is chosen per point.
+    A pure function of its float arguments, so results are memoized: the
+    suite asks for the same transforms from more than one test.
     """
     with mp.workdps(40):
         a = mp.mpf(alpha)

@@ -170,6 +170,32 @@ def test_nemytskii_constant_state_scales_with_time_profile():
     assert np.max(np.abs(scaled - scaled[0])) < 1e-12
 
 
+def test_nemytskii_fails_fast_on_a_bad_source():
+    from fracevol.greens import Nonlinearity, Trajectory
+
+    grid = TimeGrid(1.0, 16)
+    z = Trajectory(grid, np.ones((17, 4)))
+    for fn, message in (
+        (
+            lambda t, u: np.where((np.asarray(t) >= 0.5)[..., None], np.inf, u),
+            r"source produced a non-finite value at node 8, time t = 0\.5$",
+        ),
+        (
+            lambda t, u: u[..., :2],
+            r"source produced shape \(17, 2\) instead of \(17, 4\), "
+            r"starting at node 0, time t = 0\.0$",
+        ),
+    ):
+        prob = ProblemSpec(
+            SpectralModel.dirichlet_laplacian(4),
+            0.75,
+            demo_coupling(),
+            nonlinearity=Nonlinearity(fn=fn, lipschitz_bound=1.0, source_bound=1.0),
+        )
+        with pytest.raises(DomainError, match=message):
+            nemytskii(prob, z)
+
+
 # ------------------------------------------------------------------ gramian
 
 
@@ -317,6 +343,39 @@ def test_steer_endpoint_identity():
     res = steer(prob, grid, target, 1e-3)
     replay, _ = solve_mild(prob, grid, res.control)
     assert np.max(np.abs(replay.final - res.endpoint)) < 1e-10
+
+
+def test_steer_builds_one_assembly(monkeypatch):
+    from fracevol import greens
+
+    built = []
+    init = greens.ResponseAssembly.__init__
+
+    def counting_init(self, problem, grid):
+        built.append(grid.n_steps)
+        init(self, problem, grid)
+
+    monkeypatch.setattr(greens.ResponseAssembly, "__init__", counting_init)
+    prob = demo_problem(n_modes=3)
+    res = steer(prob, TimeGrid(1.0, 32), np.array([0.05, 0.01, 0.0]), 1e-3)
+    assert res.outer_iterations > 1
+    assert built == [32]
+
+
+def test_public_steering_functionals_equal_the_shared_assembly():
+    from fracevol.control import _steering_setup
+    from fracevol.greens import endpoint_response_rows
+
+    prob = demo_problem(n_modes=3)
+    prob = ProblemSpec(prob.model, prob.alpha, prob.coupling, prob.nonlinearity, 0.7)
+    grid = TimeGrid(1.0, 32)
+    asm, rows, scaled, gamma_modes = _steering_setup(prob, grid)
+    assert np.array_equal(asm.endpoint_rows(), rows)
+    assert np.array_equal(scaled, 0.7 * rows)
+    omega = trapezoid_weights(grid)
+    assert np.array_equal(gamma_modes, np.sum(scaled ** 2 / omega, axis=1))
+    assert np.array_equal(endpoint_response_rows(prob, grid), rows)
+    assert np.array_equal(gramian(prob, grid), gamma_modes)
 
 
 def test_steer_demo_reaches_smooth_target():

@@ -10,6 +10,7 @@ from fracevol.constants import NEUMANN_CLOSED_FORM_TOL
 from fracevol.errors import AdmissibilityError, ConvergenceError, DomainError
 from fracevol.fraccalc import SampledFn, TimeGrid, singular_convolution_at
 from fracevol.greens import (
+    Nonlinearity,
     NonlocalSpec,
     ProblemSpec,
     Trajectory,
@@ -426,3 +427,57 @@ def test_mode_gain_source():
     assert src.source_bound == 0.0
     out = src.fn(0.5, np.array([2.0, 2.0]))
     assert np.array_equal(out, np.array([2.0, -6.0]))
+
+
+def test_batched_sources_equal_row_by_row_bit_for_bit():
+    grid = TimeGrid(1.0, 128)
+    rng = np.random.default_rng(2501)
+    states = 0.5 * rng.standard_normal((129, 8))
+    for src in (sine_collocation_source(8), mode_gain_source(rng.standard_normal(8))):
+        batched = src.fn(grid.nodes, states)
+        rows = np.array([src.fn(float(t), u) for t, u in zip(grid.nodes, states)])
+        assert batched.shape == (129, 8)
+        assert np.array_equal(batched, rows)
+        single = src.fn(0.25, states[3])
+        assert single.shape == (8,)
+
+
+# ------------------------------------------------------- source failures
+
+
+def _broken_source_problem(fn, n_modes=4):
+    return ProblemSpec(
+        SpectralModel.dirichlet_laplacian(n_modes),
+        0.75,
+        demo_coupling(),
+        nonlinearity=Nonlinearity(fn=fn, lipschitz_bound=1.0, source_bound=1.0),
+    )
+
+
+def _nan_from_half(t, u):
+    late = (np.asarray(t) >= 0.5)[..., None]
+    return np.where(late, np.nan, 0.1 * u)
+
+
+NAN_MESSAGE = r"source produced a non-finite value at node 8, time t = 0\.5$"
+SHAPE_MESSAGE = (
+    r"source produced shape \(17, 2\) instead of \(17, 4\), "
+    r"starting at node 0, time t = 0\.0$"
+)
+
+
+def test_solve_fails_fast_on_a_bad_source():
+    grid = TimeGrid(1.0, 16)
+    with pytest.raises(DomainError, match=NAN_MESSAGE):
+        solve_mild(_broken_source_problem(_nan_from_half), grid)
+    with pytest.raises(DomainError, match=SHAPE_MESSAGE):
+        solve_mild(_broken_source_problem(lambda t, u: u[..., :2]), grid)
+
+
+def test_verify_fails_fast_on_a_bad_source():
+    grid = TimeGrid(1.0, 16)
+    traj = Trajectory(grid, np.zeros((17, 4)))
+    with pytest.raises(DomainError, match=NAN_MESSAGE):
+        verify_mild(_broken_source_problem(_nan_from_half), traj)
+    with pytest.raises(DomainError, match=SHAPE_MESSAGE):
+        verify_mild(_broken_source_problem(lambda t, u: u[..., :2]), traj)

@@ -8,7 +8,7 @@ Commands:
 
 Exit codes: 0 success, 2 usage or config error, 3 inadmissible coupling,
 4 non-convergence, 5 unsupported regime, 6 verification failure.  All
-output is deterministic; --seed is reserved and currently unused.
+output is deterministic.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True, help="output path prefix")
         else:
             p.add_argument("trajectory", help="trajectory file to check")
-        p.add_argument(
-            "--seed", type=int, default=None, help="reserved; runs are deterministic"
-        )
     return parser
 
 

@@ -118,41 +118,6 @@ def _uniform_kernel(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return k, mu1
 
 
-def power_kernel_weights(alpha: float, grid: TimeGrid, t: float) -> np.ndarray:
-    """Quadrature weights w with w . values ~= integral_0^t (t-s)**(a-1) f(s) ds.
-
-    Exact whenever f is piecewise linear on the grid.  t may fall strictly
-    between nodes; the trailing partial subinterval gets its own exact
-    moments.  t = 0 yields all-zero weights.
-    """
-    alpha = _check_order(alpha, allow_one=True)
-    n = grid.n_steps
-    w = np.zeros(n + 1)
-    if t == 0.0:
-        return w
-    jp, theta = grid.locate(t)
-    delta = grid.delta
-    if jp > 0:
-        # full panels [t_j, t_{j+1}], j = 0..jp-1; lag interval [u, u+delta]
-        j = np.arange(jp)
-        u = t - (j + 1) * delta
-        hi = u + delta
-        a0 = (hi ** alpha - u ** alpha) / alpha
-        p1 = (hi ** (alpha + 1.0) - u ** (alpha + 1.0)) / (alpha + 1.0)
-        toward_right = (p1 - u * a0) / delta  # pairs with the sample at t_j
-        toward_left = (hi * a0 - p1) / delta  # pairs with the sample at t_{j+1}
-        np.add.at(w, j, toward_right)
-        np.add.at(w, j + 1, toward_left)
-    if theta > 0.0:
-        # partial panel [t_jp, t]; data still interpolated on [t_jp, t_{jp+1}]
-        w0 = theta * delta
-        m0 = w0 ** alpha / alpha
-        mt = w0 ** (alpha + 1.0) / (alpha + 1.0)
-        w[jp] += ((delta - w0) * m0 + mt) / delta
-        w[jp + 1] += (w0 * m0 - mt) / delta
-    return w
-
-
 def rl_integral(alpha: float, f: SampledFn) -> SampledFn:
     """Fractional integral of order alpha at every grid node; node 0 is 0."""
     # the power kernel is the singular product quadrature with h = 1
@@ -162,8 +127,8 @@ def rl_integral(alpha: float, f: SampledFn) -> SampledFn:
 
 def rl_integral_at(alpha: float, f: SampledFn, t: float) -> float | np.ndarray:
     """Fractional integral evaluated at an arbitrary time in [0, horizon]."""
-    alpha = _check_order(alpha, allow_one=True)
-    w = power_kernel_weights(alpha, f.grid, t)
+    # the power kernel is the singular product quadrature with h = 1
+    w = singular_kernel_weights(alpha, np.ones_like, f.grid, t)
     return w @ f.values / gamma(alpha)
 
 

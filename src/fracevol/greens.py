@@ -30,8 +30,7 @@ from .fraccalc import (
     singular_convolution_all,
     singular_kernel_weights,
 )
-from .spectral import SpectralModel, decay_factors, kernel_factors
-from .specfun import gamma, mittag_leffler
+from .spectral import SpectralModel, decay_factors, kernel_factors, ml_table
 
 __all__ = [
     "NonlocalSpec",
@@ -185,21 +184,12 @@ class VerificationReport:
     node_residuals: np.ndarray = field(repr=False)
 
 
-class H1Report(tuple):
-    """(admissible, margin) with named access."""
+@dataclass(frozen=True)
+class H1Report:
+    """Outcome of check_H1: whether the pinning weights pass, and by how much."""
 
-    __slots__ = ()
-
-    def __new__(cls, admissible: bool, margin: float):
-        return super().__new__(cls, (bool(admissible), float(margin)))
-
-    @property
-    def admissible(self) -> bool:
-        return self[0]
-
-    @property
-    def margin(self) -> float:
-        return self[1]
+    admissible: bool
+    margin: float
 
 
 def check_H1(model: SpectralModel, alpha: float, coupling: NonlocalSpec) -> H1Report:
@@ -246,38 +236,19 @@ def build_O(model: SpectralModel, alpha: float, coupling: NonlocalSpec) -> np.nd
     return out
 
 
-def _ml_kernel(alpha: float, lam: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Smooth factor of the mode response kernel as a function of the lag."""
+def _kernel_rows(problem: ProblemSpec, grid: TimeGrid, t: float) -> np.ndarray:
+    """singular_kernel_weights at t for every mode, one row per mode."""
+    alpha = problem.alpha
+    rows = np.empty((problem.n_modes, grid.n_steps + 1))
+    for m in range(problem.n_modes):
+        lam = problem.model.lambdas[m : m + 1]
 
-    def h(tau):
-        arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = np.empty_like(arr)
-        for i, x in enumerate(arr):
-            if x > 0.0:
-                out[i] = mittag_leffler(alpha, alpha, -lam * x ** alpha)
-            else:
-                out[i] = 1.0 / gamma(alpha)
-        return out
+        def kernel(lags: np.ndarray) -> np.ndarray:
+            # a lag measured from a time snapped to the horizon can undershoot 0
+            return ml_table(lam, alpha, alpha, np.maximum(lags, 0.0))[:, 0]
 
-    return h
-
-
-def _lag_tables(model: SpectralModel, alpha: float, grid: TimeGrid) -> np.ndarray:
-    """smooth_at_lags rows per mode for the all-nodes convolution."""
-    n = grid.n_steps
-    tables = np.empty((model.n_modes, n + 1))
-    lag_pow = (np.arange(1, n + 1) * grid.delta) ** alpha
-    for m, lam in enumerate(model.lambdas):
-        tables[m, 0] = 1.0 / gamma(alpha)
-        for d in range(1, n + 1):
-            tables[m, d] = mittag_leffler(alpha, alpha, -lam * lag_pow[d - 1])
-    return tables
-
-
-def _decay_table(problem: ProblemSpec, times: np.ndarray) -> np.ndarray:
-    """decay_factors at each of the given times, one row per time."""
-    rows = [decay_factors(problem.model, problem.alpha, float(t)) for t in times]
-    return np.array(rows).reshape(len(times), problem.n_modes)
+        rows[m] = singular_kernel_weights(alpha, kernel, grid, t)
+    return rows
 
 
 def _eval_source(problem: ProblemSpec, times: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -362,17 +333,16 @@ class ResponseAssembly:
         self.grid = grid
         self.o = build_O(problem.model, problem.alpha, problem.coupling)
         n_modes = problem.n_modes
-        self.decay_nodes = _decay_table(problem, grid.nodes)
-        self.lag_tables = _lag_tables(problem.model, problem.alpha, grid)
+        lams, alpha = problem.model.lambdas, problem.alpha
+        self.decay_nodes = ml_table(lams, alpha, 1.0, grid.nodes)
+        lags = np.arange(grid.n_steps + 1) * grid.delta
+        self.lag_tables = ml_table(lams, alpha, alpha, lags).T
         # weight rows turning sampled forcing into the response integral at
         # each pinning time; pinning times may sit strictly between nodes
         self.pin_rows = np.empty((problem.coupling.n_points, n_modes, grid.n_steps + 1))
         for k, tk in enumerate(problem.coupling.times):
-            for m, lam in enumerate(problem.model.lambdas):
-                self.pin_rows[k, m] = singular_kernel_weights(
-                    problem.alpha, _ml_kernel(problem.alpha, lam), grid, float(tk)
-                )
-        self.decay_at_pins = _decay_table(problem, problem.coupling.times)
+            self.pin_rows[k] = _kernel_rows(problem, grid, float(tk))
+        self.decay_at_pins = ml_table(lams, alpha, 1.0, problem.coupling.times)
 
     def convolve_all(self, forcing: np.ndarray) -> np.ndarray:
         """Response integral at every node; forcing is (n_nodes, n_modes)."""
@@ -406,15 +376,12 @@ class ResponseAssembly:
         combined response (direct part plus pinning corrections).
         """
         problem, grid = self.problem, self.grid
-        rows = np.empty((problem.n_modes, grid.n_steps + 1))
-        for m, lam in enumerate(problem.model.lambdas):
-            end_row = singular_kernel_weights(
-                problem.alpha, _ml_kernel(problem.alpha, lam), grid, grid.horizon
-            )
+        rows = _kernel_rows(problem, grid, grid.horizon)
+        for m in range(problem.n_modes):
             pin_part = np.zeros(grid.n_steps + 1)
             for ck, pin_row in zip(problem.coupling.weights, self.pin_rows[:, m]):
                 pin_part += ck * pin_row
-            rows[m] = self.decay_nodes[-1, m] * self.o[m] * pin_part + end_row
+            rows[m] = self.decay_nodes[-1, m] * self.o[m] * pin_part + rows[m]
         return rows
 
     def solve(
@@ -541,33 +508,27 @@ def verify_mild(
     grid = traj.grid
     n = grid.n_steps
     delta = grid.delta
-    alpha = problem.alpha
+    lams, alpha = problem.model.lambdas, problem.alpha
     base = _forcing_base(problem, grid, control, raw_forcing)
     forcing = base + _eval_source(problem, grid.nodes, traj.states)
-    u0 = traj.initial
 
-    # midpoint smooth-kernel samples at half-integer lags
-    half_lags = (np.arange(n) + 0.5) * delta
-    mid_tables = np.empty((problem.n_modes, n))
-    for m, lam in enumerate(problem.model.lambdas):
-        for d in range(n):
-            mid_tables[m, d] = mittag_leffler(alpha, alpha, -lam * half_lags[d] ** alpha)
-    # exact panel moments of the power factor, by distance
+    # midpoint smooth-kernel samples at half-integer lags, times the exact
+    # panel moments of the power factor, by distance
+    mid_table = ml_table(lams, alpha, alpha, (np.arange(n) + 0.5) * delta)
     d = np.arange(n + 1, dtype=float)
     moments = (d[1:] ** alpha - d[:-1] ** alpha) * delta ** alpha / alpha
+    kern = mid_table * moments[:, None]
 
     avg = 0.5 * (forcing[:-1] + forcing[1:])  # panel-average forcing
+    # node i sums panels j = 0..i-1 at lag distance i-j-1/2: entry i-1 of
+    # the full convolution of panel averages and kernel
+    conv = np.empty((n, problem.n_modes))
+    for m in range(problem.n_modes):
+        conv[:, m] = np.convolve(avg[:, m], kern[:, m])[:n]
+    predicted = ml_table(lams, alpha, 1.0, grid.nodes[1:]) * traj.initial + conv
+    gap = traj.states[1:] - predicted
     node_residuals = np.zeros(n + 1)
-    decay_nodes = _decay_table(problem, grid.nodes)
-    for i in range(1, n + 1):
-        # panels j = 0..i-1, lag distance i-j-1/2, moment index i-j-1
-        conv = np.zeros(problem.n_modes)
-        for m in range(problem.n_modes):
-            kern = mid_tables[m, : i][::-1] * moments[:i][::-1]
-            conv[m] = kern @ avg[:i, m]
-        predicted = decay_nodes[i] * u0 + conv
-        gap = traj.states[i] - predicted
-        node_residuals[i] = float(np.sqrt(np.sum(gap * gap)))
+    node_residuals[1:] = np.sqrt(np.sum(gap * gap, axis=1))
 
     return VerificationReport(
         equation_residual=float(np.max(node_residuals)),

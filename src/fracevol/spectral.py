@@ -87,17 +87,30 @@ def _as_modes(model: SpectralModel, x) -> np.ndarray:
     return vec
 
 
+def ml_table(lambdas, alpha: float, beta: float, times) -> np.ndarray:
+    """E_{alpha,beta}(-lambda_n * t**alpha) for every time and rate.
+
+    Row i holds times[i], column n the rate lambdas[n].  t**alpha is the
+    scalar float power, so a row is bit for bit what a scalar evaluation at
+    that time gives.  Every value comes from mittag_leffler and its cache.
+    """
+    alpha = _check_alpha(alpha)
+    lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    ok = np.isfinite(ts) & (ts >= 0.0)
+    if not ok.all():
+        raise DomainError(f"time must be finite and nonnegative, got {float(ts[~ok][0])!r}")
+    out = np.empty((ts.size, lams.size))
+    for i, t in enumerate(ts):
+        ta = float(t) ** alpha
+        for n, lam in enumerate(lams):
+            out[i, n] = mittag_leffler(alpha, beta, -lam * ta)
+    return out
+
+
 def decay_factors(model: SpectralModel, alpha: float, t: float) -> np.ndarray:
     """Per-mode multipliers E_alpha(-lambda_n * t**alpha) of the flow at time t."""
-    alpha = _check_alpha(alpha)
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t!r}")
-    if t == 0.0:
-        return np.ones(model.n_modes)
-    ta = t ** alpha
-    return np.array(
-        [mittag_leffler(alpha, 1.0, -lam * ta) for lam in model.lambdas]
-    )
+    return ml_table(model.lambdas, alpha, 1.0, t)[0]
 
 
 def apply_T(model: SpectralModel, alpha: float, t: float, x) -> np.ndarray:
@@ -114,11 +127,7 @@ def kernel_factors(model: SpectralModel, alpha: float, t: float) -> np.ndarray:
     alpha = _check_alpha(alpha)
     if t <= 0.0:
         raise DomainError(f"kernel time must be positive, got {t!r}")
-    ta = t ** alpha
-    tail = t ** (alpha - 1.0)
-    return tail * np.array(
-        [mittag_leffler(alpha, alpha, -lam * ta) for lam in model.lambdas]
-    )
+    return t ** (alpha - 1.0) * ml_table(model.lambdas, alpha, alpha, t)[0]
 
 
 def apply_S(model: SpectralModel, alpha: float, t: float, x) -> np.ndarray:
@@ -148,12 +157,9 @@ def estimate_MT(
     alpha = _check_alpha(alpha)
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
-    best = 1.0  # t = 0 included analytically
-    for t in np.linspace(0.0, horizon, scan_points)[1:]:
-        ta = t ** alpha
-        m = max(abs(mittag_leffler(alpha, 1.0, -lam * ta)) for lam in model.lambdas)
-        best = max(best, m)
-    return best
+    times = np.linspace(0.0, horizon, scan_points)[1:]
+    table = ml_table(model.lambdas, alpha, 1.0, times)
+    return float(np.max(np.abs(table), initial=1.0))  # t = 0 included analytically
 
 
 def estimate_MS(
@@ -163,13 +169,11 @@ def estimate_MS(
     alpha = _check_alpha(alpha)
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
-    weighted = 1.0 / gamma(alpha)  # the t -> 0 limit, a maximum for dissipative models
-    raw = 0.0
-    for t in np.linspace(0.0, horizon, scan_points)[1:]:
-        ta = t ** alpha
-        m = max(abs(mittag_leffler(alpha, alpha, -lam * ta)) for lam in model.lambdas)
-        weighted = max(weighted, m)
-        raw = max(raw, t ** (alpha - 1.0) * m)
+    times = np.linspace(0.0, horizon, scan_points)[1:]
+    mode_max = np.max(np.abs(ml_table(model.lambdas, alpha, alpha, times)), axis=1)
+    # the t -> 0 limit 1/Gamma(alpha) is a maximum for dissipative models
+    weighted = float(np.max(mode_max, initial=1.0 / gamma(alpha)))
+    raw = float(np.max(times ** (alpha - 1.0) * mode_max, initial=0.0))
     return MsEstimate(weighted=weighted, raw_grid_sup=raw)
 
 
@@ -192,13 +196,9 @@ def check_solution_operator_identity(
     """
     alpha = _check_alpha(alpha)
     vec = _as_modes(model, x)
-    nodes = grid.nodes
-    states = np.empty((nodes.size, model.n_modes))
-    states[0] = vec
-    for i, t in enumerate(nodes[1:], start=1):
-        states[i] = decay_factors(model, alpha, t) * vec
+    states = ml_table(model.lambdas, alpha, 1.0, grid.nodes) * vec[None, :]
     conv = singular_convolution_all(
-        alpha, np.ones(nodes.size), SampledFn(grid, states)
+        alpha, np.ones(grid.n_steps + 1), SampledFn(grid, states)
     )
     defect = states - vec[None, :] + conv * model.lambdas[None, :] / gamma(alpha)
     node_residuals = np.max(np.abs(defect), axis=1)

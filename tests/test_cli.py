@@ -90,6 +90,9 @@ def test_ml_bad_arguments():
 def test_unknown_command_and_help():
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("--help").returncode == 0
+    out = run_cli("verify", "--config", "run.ini", "run.trajectory.txt", "--seed", "1")
+    assert out.returncode == 2
+    assert "unrecognized arguments: --seed" in out.stderr
 
 
 def test_simulate_writes_deterministic_files(tmp_path):

@@ -14,13 +14,13 @@ from fracevol.fraccalc import (
     SampledFn,
     TimeGrid,
     caputo_derivative,
-    power_kernel_weights,
     rl_derivative,
     rl_integral,
     rl_integral_at,
     singular_convolution,
     singular_convolution_all,
     singular_convolution_at,
+    singular_kernel_weights,
     rl_integral as _rl,  # noqa: F401  (alias exercised below)
 )
 from fracevol.constants import CAPUTO_CONST_TOL, QUADRATURE_MATCH_TOL
@@ -143,13 +143,13 @@ def test_power_weights_total_mass():
     ones = np.ones(18)
     for alpha in (0.4, 0.75, 1.0):
         for t in (g.nodes[5], 0.42, 1.0):
-            w = power_kernel_weights(alpha, g, t)
+            w = singular_kernel_weights(alpha, np.ones_like, g, t)
             assert w @ ones == pytest.approx(t ** alpha / alpha, rel=1e-13)
 
 
 def test_power_weights_zero_time():
     g = TimeGrid(1.0, 8)
-    assert np.all(power_kernel_weights(0.5, g, 0.0) == 0.0)
+    assert np.all(singular_kernel_weights(0.5, np.ones_like, g, 0.0) == 0.0)
 
 
 # ----------------------------------------------------------------- derivatives

@@ -18,9 +18,10 @@ from fracevol.spectral import (
     estimate_MS,
     estimate_MT,
     kernel_factors,
+    ml_table,
     resolvent,
 )
-from fracevol.specfun import gamma
+from fracevol.specfun import gamma, mittag_leffler
 
 
 def model(*rates):
@@ -178,6 +179,40 @@ def test_operators_commute_with_diagonal_coefficients():
     scaled_first = apply_T(m, 0.7, 0.4, m.lambdas * x)
     scaled_last = m.lambdas * apply_T(m, 0.7, 0.4, x)
     assert np.array_equal(scaled_first, scaled_last)
+
+
+# ---------------------------------------------------------------- ML table
+
+
+def test_ml_table_equals_scalar_evaluation_bit_for_bit():
+    rng = np.random.default_rng(11)
+    lams = np.sort(rng.uniform(0.1, 80.0, 5))
+    times = np.concatenate([[0.0], rng.uniform(0.0, 2.0, 9)])
+    for alpha in (0.45, 0.75, 1.0):
+        for beta in (1.0, alpha):
+            table = ml_table(lams, alpha, beta, times)
+            assert table.shape == (times.size, lams.size)
+            ref = np.array(
+                [[mittag_leffler(alpha, beta, -lam * float(t) ** alpha) for lam in lams]
+                 for t in times]
+            )
+            assert np.array_equal(table, ref)
+
+
+def test_decay_and_kernel_factors_are_table_rows():
+    m = model(1.0, 4.0, 9.0)
+    alpha = 0.7
+    for t in (0.0, 0.37, 1.9):
+        assert np.array_equal(decay_factors(m, alpha, t), ml_table(m.lambdas, alpha, 1.0, [t])[0])
+    t = 0.37
+    row = ml_table(m.lambdas, alpha, alpha, [t])[0]
+    assert np.array_equal(kernel_factors(m, alpha, t), t ** (alpha - 1.0) * row)
+
+
+def test_ml_table_rejects_negative_or_nonfinite_time():
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(DomainError, match="time"):
+            ml_table([1.0, 4.0], 0.75, 1.0, [0.5, bad])
 
 
 # ----------------------------------------------------- integrated-form check

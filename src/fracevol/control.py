@@ -9,7 +9,6 @@ rho * |target| / (rho + Gamma) to rounding, not merely to quadrature order.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -103,19 +102,13 @@ def signal_l2_norm(grid: TimeGrid, values: np.ndarray) -> float:
     return float(math.sqrt(np.sum(w[:, None] * vals * vals)))
 
 
-def _linear_problem(problem: ProblemSpec) -> ProblemSpec:
-    if problem.nonlinearity is None:
-        return problem
-    return dataclasses.replace(problem, nonlinearity=None)
-
-
 def apply_K(problem: ProblemSpec, mu: SampledFn) -> Trajectory:
     """Trajectory of the linear response to the raw forcing mu.
 
     Linear and additive in mu; the nonlinearity and the control gains do
     not participate.  See operator_norm_estimate for the bound constant.
     """
-    asm = ResponseAssembly(_linear_problem(problem), mu.grid)
+    asm = ResponseAssembly(problem, mu.grid)
     vals = np.asarray(mu.values, dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]

@@ -158,14 +158,13 @@ def caputo_derivative(alpha: float, f: SampledFn) -> SampledFn:
     b[1:] = d[1:] ** (1.0 - alpha) - d[:-1] ** (1.0 - alpha)
     coef = f.grid.delta ** (-alpha) / gamma(2.0 - alpha)
     vals = np.asarray(f.values, dtype=float)
-    single = vals.ndim == 1
-    cols = vals[:, None] if single else vals
+    cols = vals.reshape(n + 1, -1)
     out = np.zeros_like(cols)
     for m in range(cols.shape[1]):
         diffs = np.diff(cols[:, m])
         out[1:, m] = coef * np.convolve(b[1:], diffs)[:n]
-    out = _extrapolate_node0(out)
-    return SampledFn(f.grid, out[:, 0] if single else out, node0_extrapolated=True)
+    out = _extrapolate_node0(out).reshape(vals.shape)
+    return SampledFn(f.grid, out, node0_extrapolated=True)
 
 
 def rl_derivative(alpha: float, f: SampledFn) -> SampledFn:
@@ -175,15 +174,13 @@ def rl_derivative(alpha: float, f: SampledFn) -> SampledFn:
     """
     alpha = _check_order(alpha)
     cap = caputo_derivative(alpha, f)
-    out = np.array(cap.values, dtype=float)
+    n = f.grid.n_steps
+    out = np.array(cap.values, dtype=float).reshape(n + 1, -1)
     t_pos = f.grid.nodes[1:]
     boundary = t_pos ** (-alpha) / gamma(1.0 - alpha)
-    f0 = np.asarray(f.values, dtype=float)[0]
-    if out.ndim == 1:
-        out[1:] += f0 * boundary
-    else:
-        out[1:] += np.outer(boundary, f0)
-    out = _extrapolate_node0(out)
+    f0 = f.values.reshape(n + 1, -1)[0]
+    out[1:] += np.outer(boundary, f0)
+    out = _extrapolate_node0(out).reshape(cap.values.shape)
     return SampledFn(f.grid, out, node0_extrapolated=True)
 
 
@@ -234,19 +231,26 @@ def singular_kernel_weights(
     The value singular_convolution_at returns is exactly this vector dotted
     with the sample values; exposing the weights lets linear functionals of
     the data (endpoint response rows, Gramian assembly) reuse the identical
-    discretization.
+    discretization.  kernel_smooth maps an array of lags to an array whose
+    leading axis runs over the lags: (n_lags,) gives weights of shape
+    (n_nodes,), (n_lags, n_cols) gives one weight column per kernel column,
+    each equal to the weights of that column's kernel alone.
     """
     alpha = _check_order(alpha, allow_one=True)
     jp, theta = grid.locate(t)
-    w = np.zeros(grid.n_steps + 1)
-    if jp == 0 and theta == 0.0:
-        return w
     delta = grid.delta
     w0 = theta * delta
     tt = (jp + theta) * delta  # work with the snapped time
+    # the node lags, clamped at 0 because the snapped time can sit an ulp
+    # below nodes[-1], then the trailing-panel lags w0 and 0
+    lags = np.concatenate([np.maximum(tt - grid.nodes[: jp + 1], 0.0), [w0, 0.0]])
+    # one kernel call, array in and array out; its own exceptions propagate
+    h = np.asarray(kernel_smooth(lags), dtype=float)
+    if h.shape[:1] != lags.shape:
+        raise DomainError(f"kernel returned shape {h.shape} for lags of shape {lags.shape}")
+    cols = h.reshape(jp + 3, -1)
+    w = np.zeros((grid.n_steps + 1, cols.shape[1]))
     if jp > 0:
-        lags = tt - grid.nodes[: jp + 1]
-        h = _sample_callable(kernel_smooth, lags)
         j = np.arange(jp)
         u = tt - (j + 1) * delta
         hi = u + delta
@@ -257,15 +261,14 @@ def singular_kernel_weights(
         pw = np.zeros(jp + 1)
         np.add.at(pw, j, toward_right)
         np.add.at(pw, j + 1, toward_left)
-        w[: jp + 1] = pw * h
+        w[: jp + 1] = pw[:, None] * cols[: jp + 1]
     if theta > 0.0:
         m0 = w0 ** alpha / alpha
         mt = w0 ** (alpha + 1.0) / (alpha + 1.0)
-        h_edge = _sample_callable(kernel_smooth, np.array([w0, 0.0]))
-        edge = h_edge[1] * (m0 - mt / w0)
-        w[jp] += h_edge[0] * (mt / w0) + edge * (1.0 - theta)
+        edge = cols[-1] * (m0 - mt / w0)
+        w[jp] += cols[-2] * (mt / w0) + edge * (1.0 - theta)
         w[jp + 1] += edge * theta
-    return w
+    return w.reshape((grid.n_steps + 1,) + h.shape[1:])
 
 
 def singular_convolution_all(
@@ -273,31 +276,23 @@ def singular_convolution_all(
 ) -> np.ndarray:
     """Vectorized singular_convolution at every node at once.
 
-    smooth_at_lags[d] must hold h(d * delta).  Identical values to calling
-    singular_convolution node by node, at convolution cost.
+    smooth_at_lags[d] must hold h(d * delta).  A 1-D table is one kernel for
+    every data column; an (n_nodes, n_cols) table gives data column m its
+    own kernel, column m.  Identical values to calling singular_convolution
+    node by node and column by column, at convolution cost.
     """
     alpha = _check_order(alpha, allow_one=True)
     n = f.grid.n_steps
     k, mu1 = _uniform_kernel(alpha, n)
-    kap = k * smooth_at_lags
     vals = np.asarray(f.values, dtype=float)
-    scale = f.grid.delta ** alpha
-    corr = mu1[1 : n + 2] * smooth_at_lags
-    if vals.ndim == 1:
-        out = np.convolve(kap, vals)[: n + 1] - corr * vals[0]
-        return scale * out
-    out = np.empty_like(vals)
-    for m in range(vals.shape[1]):
-        out[:, m] = np.convolve(kap, vals[:, m])[: n + 1] - corr * vals[0, m]
-    return scale * out
-
-
-def _sample_callable(h: Callable, lags: np.ndarray) -> np.ndarray:
-    """Evaluate h on an array of lags, tolerating scalar-only callables."""
-    try:
-        out = np.asarray(h(lags), dtype=float)
-        if out.shape == lags.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(h(ell)) for ell in lags])
+    cols = vals.reshape(n + 1, -1)
+    table = np.asarray(smooth_at_lags, dtype=float)
+    if table.shape[:1] != (n + 1,) or table[0].size not in (1, cols.shape[1]):
+        raise DomainError(f"kernel table {table.shape} does not fit data {vals.shape}")
+    table = np.broadcast_to(table.reshape(n + 1, -1), cols.shape)
+    kap = k[:, None] * table
+    corr = mu1[1 : n + 2, None] * table
+    out = np.empty_like(cols)
+    for m in range(cols.shape[1]):
+        out[:, m] = np.convolve(kap[:, m], cols[:, m])[: n + 1] - corr[:, m] * cols[0, m]
+    return f.grid.delta ** alpha * out.reshape(vals.shape)

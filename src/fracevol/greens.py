@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -238,17 +239,11 @@ def build_O(model: SpectralModel, alpha: float, coupling: NonlocalSpec) -> np.nd
 
 def _kernel_rows(problem: ProblemSpec, grid: TimeGrid, t: float) -> np.ndarray:
     """singular_kernel_weights at t for every mode, one row per mode."""
-    alpha = problem.alpha
-    rows = np.empty((problem.n_modes, grid.n_steps + 1))
-    for m in range(problem.n_modes):
-        lam = problem.model.lambdas[m : m + 1]
-
-        def kernel(lags: np.ndarray) -> np.ndarray:
-            # a lag measured from a time snapped to the horizon can undershoot 0
-            return ml_table(lam, alpha, alpha, np.maximum(lags, 0.0))[:, 0]
-
-        rows[m] = singular_kernel_weights(alpha, kernel, grid, t)
-    return rows
+    lams, alpha = problem.model.lambdas, problem.alpha
+    kernel = partial(ml_table, lams, alpha, alpha)  # lags -> (lags, modes) table
+    # C order: a sum along a row (the Gramian's) then adds in the same
+    # order as on a row built for one mode alone
+    return np.ascontiguousarray(singular_kernel_weights(alpha, kernel, grid, t).T)
 
 
 def _eval_source(problem: ProblemSpec, times: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -319,11 +314,11 @@ def _fixed_point(
 class ResponseAssembly:
     """Everything about (problem, grid) that does not change across iterations.
 
-    Holds the per-mode inverse factors, decay samples, convolution lag
-    tables, and the quadrature rows at the pinning times.  Build it once
-    per (problem, grid): solve runs the Picard iteration on it and
-    endpoint_rows gives the steering functionals under exactly the same
-    discretization.
+    Holds the per-mode inverse factors, decay samples, the (nodes x modes)
+    convolution lag table, and the quadrature rows at the pinning times.
+    Build it once per (problem, grid): solve runs the Picard iteration on
+    it and endpoint_rows gives the steering functionals under exactly the
+    same discretization.
     """
 
     def __init__(self, problem: ProblemSpec, grid: TimeGrid):
@@ -336,7 +331,7 @@ class ResponseAssembly:
         lams, alpha = problem.model.lambdas, problem.alpha
         self.decay_nodes = ml_table(lams, alpha, 1.0, grid.nodes)
         lags = np.arange(grid.n_steps + 1) * grid.delta
-        self.lag_tables = ml_table(lams, alpha, alpha, lags).T
+        self.lag_tables = ml_table(lams, alpha, alpha, lags)
         # weight rows turning sampled forcing into the response integral at
         # each pinning time; pinning times may sit strictly between nodes
         self.pin_rows = np.empty((problem.coupling.n_points, n_modes, grid.n_steps + 1))
@@ -346,13 +341,9 @@ class ResponseAssembly:
 
     def convolve_all(self, forcing: np.ndarray) -> np.ndarray:
         """Response integral at every node; forcing is (n_nodes, n_modes)."""
-        out = np.empty_like(forcing)
-        for m in range(forcing.shape[1]):
-            fn = SampledFn(self.grid, forcing[:, m])
-            out[:, m] = singular_convolution_all(
-                self.problem.alpha, self.lag_tables[m], fn
-            )
-        return out
+        return singular_convolution_all(
+            self.problem.alpha, self.lag_tables, SampledFn(self.grid, forcing)
+        )
 
     def pin_responses(self, forcing: np.ndarray) -> np.ndarray:
         """Response integral at each pinning time; result is (n_points, n_modes)."""
@@ -375,14 +366,11 @@ class ResponseAssembly:
         rows are the discrete samples of the endpoint kernel of the
         combined response (direct part plus pinning corrections).
         """
-        problem, grid = self.problem, self.grid
-        rows = _kernel_rows(problem, grid, grid.horizon)
-        for m in range(problem.n_modes):
-            pin_part = np.zeros(grid.n_steps + 1)
-            for ck, pin_row in zip(problem.coupling.weights, self.pin_rows[:, m]):
-                pin_part += ck * pin_row
-            rows[m] = self.decay_nodes[-1, m] * self.o[m] * pin_part + rows[m]
-        return rows
+        rows = _kernel_rows(self.problem, self.grid, self.grid.horizon)
+        pin_part = np.zeros_like(rows)
+        for ck, pin_rows in zip(self.problem.coupling.weights, self.pin_rows):
+            pin_part += ck * pin_rows
+        return (self.decay_nodes[-1] * self.o)[:, None] * pin_part + rows
 
     def solve(
         self,

@@ -25,6 +25,7 @@ from fracevol.fraccalc import (
 )
 from fracevol.constants import CAPUTO_CONST_TOL, QUADRATURE_MATCH_TOL
 from fracevol.specfun import gamma, mittag_leffler
+from fracevol.spectral import ml_table
 
 
 def grid_fn(horizon, n, func):
@@ -360,3 +361,88 @@ def test_singular_convolution_index_bounds():
         singular_convolution(0.5, h, f, 9)
     with pytest.raises(DomainError):
         singular_convolution(0.5, h, f, -1)
+
+
+# ------------------------------------------------------------- column contract
+
+
+def _two_kernels(lags):
+    lags = np.asarray(lags, dtype=float)
+    return np.column_stack([np.exp(-2.0 * lags), 1.0 / (1.0 + lags)])
+
+
+def test_singular_convolution_all_kernel_columns_match_column_calls():
+    alpha = 0.6
+    rng = np.random.default_rng(515)
+    g = TimeGrid(1.0, 40)
+    data = rng.standard_normal((41, 3))
+    lags = np.arange(41) * g.delta
+    table = np.column_stack([np.exp(-c * lags) for c in (0.5, 2.0, 7.0)])
+    out = singular_convolution_all(alpha, table, SampledFn(g, data))
+    shared = singular_convolution_all(alpha, table[:, 1], SampledFn(g, data))
+    for m in range(3):
+        column = SampledFn(g, data[:, m])
+        assert np.array_equal(out[:, m], singular_convolution_all(alpha, table[:, m], column))
+        # a 1-D table is one kernel for every column
+        assert np.array_equal(shared[:, m], singular_convolution_all(alpha, table[:, 1], column))
+
+
+def test_singular_convolution_all_rejects_misfit_table():
+    g = TimeGrid(1.0, 40)
+    f = SampledFn(g, np.ones((41, 3)))
+    with pytest.raises(DomainError, match=r"\(41, 2\).*\(41, 3\)"):
+        singular_convolution_all(0.6, np.ones((41, 2)), f)
+    with pytest.raises(DomainError, match=r"\(40,\)"):
+        singular_convolution_all(0.6, np.ones(40), f)
+
+
+@pytest.mark.parametrize("where", ["zero", "node", "between", "horizon"])
+def test_kernel_weights_columns_match_column_calls(where):
+    g = TimeGrid(1.0, 20)
+    t = {"zero": 0.0, "node": g.nodes[7], "between": 0.4213, "horizon": 1.0}[where]
+    w = singular_kernel_weights(0.7, _two_kernels, g, t)
+    assert w.shape == (21, 2)
+    for m in range(2):
+        ref = singular_kernel_weights(0.7, lambda lags: _two_kernels(lags)[:, m], g, t)
+        assert np.array_equal(w[:, m], ref)
+
+
+def test_kernel_weights_reject_misshapen_kernel():
+    g = TimeGrid(1.0, 8)
+    # at t = 0.5 the kernel sees the 5 node lags and the 2 trailing-panel lags
+    with pytest.raises(DomainError, match=r"\(6,\).*\(7,\)"):
+        singular_kernel_weights(0.5, lambda lags: np.ones(lags.size - 1), g, 0.5)
+    with pytest.raises(DomainError, match=r"shape \(\)"):
+        singular_kernel_weights(0.5, lambda lags: 1.0, g, 0.5)
+
+
+def test_kernel_weights_let_kernel_errors_through():
+    g = TimeGrid(1.0, 8)
+
+    def refusing(lags):
+        raise DomainError("kernel refuses these lags")
+
+    with pytest.raises(DomainError, match="kernel refuses"):
+        singular_kernel_weights(0.5, refusing, g, 0.5)
+    # a scalar-only kernel is not called once per lag
+    with pytest.raises(TypeError):
+        singular_kernel_weights(0.5, float, g, 0.5)
+
+
+def test_kernel_weights_at_horizon_keep_lags_nonnegative():
+    # the snapped horizon 19 * (0.1 / 19) sits an ulp below nodes[-1] = 0.1
+    g = TimeGrid(0.1, 19)
+    assert g.n_steps * g.delta < g.nodes[-1]
+    lams = np.array([1.0, 4.0])
+    w = singular_kernel_weights(0.75, lambda lags: ml_table(lams, 0.75, 0.75, lags), g, 0.1)
+    assert w.shape == (20, 2)
+    assert np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("op", [caputo_derivative, rl_derivative])
+def test_derivatives_of_columns_match_column_calls(op):
+    g = TimeGrid(1.0, 30)
+    data = np.column_stack([1.0 + g.nodes ** 2, np.sin(3.0 * g.nodes) + 0.5])
+    out = op(0.4, SampledFn(g, data)).values
+    for m in range(2):
+        assert np.array_equal(out[:, m], op(0.4, SampledFn(g, data[:, m])).values)

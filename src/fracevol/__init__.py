@@ -62,7 +62,7 @@ from .greens import (
     solve_mild,
     verify_mild,
 )
-from .specfun import gamma, mittag_leffler, ml_derivative_kernel
+from .specfun import gamma, mittag_leffler, mittag_leffler_array, ml_derivative_kernel
 from .spectral import SpectralModel
 
 __version__ = "0.1.0"
@@ -77,6 +77,7 @@ __all__ = [
     "STEER_TOL_DEFAULT",
     "gamma",
     "mittag_leffler",
+    "mittag_leffler_array",
     "ml_derivative_kernel",
     "TimeGrid",
     "SampledFn",

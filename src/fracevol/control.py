@@ -220,14 +220,37 @@ def steer(
     when the achieved endpoint moves less than tol between passes.  The
     Gramian, the endpoint rows and every solve share one ResponseAssembly.
     """
-    target = np.asarray(target, dtype=float)
-    if target.shape != (problem.n_modes,) or not np.all(np.isfinite(target)):
-        raise DomainError("target must be a finite mode vector")
+    target = _check_target(problem, target)
     if not (np.isfinite(rho) and rho > 0.0):
         raise DomainError("rho must be positive")
     if max_outer < 1:
         raise DomainError("max_outer must be positive")
-    asm, rows, scaled, gamma_modes = _steering_setup(problem, grid)
+    setup = _steering_setup(problem, grid)
+    return _steer_cell(
+        problem, grid, setup, target, rho, tol=tol, max_outer=max_outer, solve_tol=solve_tol
+    )
+
+
+def _check_target(problem: ProblemSpec, target) -> np.ndarray:
+    target = np.asarray(target, dtype=float)
+    if target.shape != (problem.n_modes,) or not np.all(np.isfinite(target)):
+        raise DomainError("target must be a finite mode vector")
+    return target
+
+
+def _steer_cell(
+    problem: ProblemSpec,
+    grid: TimeGrid,
+    setup,
+    target: np.ndarray,
+    rho: float,
+    *,
+    tol: float,
+    max_outer: int,
+    solve_tol: float,
+) -> SteeringResult:
+    """The outer loop of ``steer`` on a prepared ``_steering_setup``."""
+    asm, rows, scaled, gamma_modes = setup
     omega = trapezoid_weights(grid)
 
     traj, _ = asm.solve(tol=solve_tol)
@@ -289,18 +312,29 @@ def reachability_experiment(
     tol: float = STEER_TOL_DEFAULT,
     max_outer: int = STEER_MAX_OUTER_DEFAULT,
 ) -> ReachabilityTable:
-    """Steer toward each target across the regularization sweep."""
+    """Steer toward each target across the regularization sweep.
+
+    Every (target, rho) cell runs ``steer``'s loop on one shared
+    assembly, endpoint rows and Gramian.
+    """
     rhos = [float(r) for r in rhos]
-    if not rhos or any(r <= 0.0 for r in rhos):
+    if not rhos or not all(math.isfinite(r) and r > 0.0 for r in rhos):
         raise DomainError("rhos must be positive")
     if any(b >= a for a, b in zip(rhos, rhos[1:])):
         raise DomainError("rhos must be strictly decreasing")
+    if max_outer < 1:
+        raise DomainError("max_outer must be positive")
+    kept = [_check_target(problem, target) for target in targets]
+    if not kept:
+        return ReachabilityTable(rows=(), targets=())
+    setup = _steering_setup(problem, grid)
     rows: list[tuple[int, float, float, float, int]] = []
-    kept: list[np.ndarray] = []
-    for tid, target in enumerate(targets):
-        kept.append(np.asarray(target, dtype=float))
+    for tid, target in enumerate(kept):
         for rho in rhos:
-            res = steer(problem, grid, target, rho, tol=tol, max_outer=max_outer)
+            res = _steer_cell(
+                problem, grid, setup, target, rho,
+                tol=tol, max_outer=max_outer, solve_tol=SOLVE_TOL_DEFAULT,
+            )
             rows.append(
                 (tid, rho, res.endpoint_error, res.control_energy, res.outer_iterations)
             )

@@ -1,35 +1,42 @@
 """Gamma and the two-parameter Mittag-Leffler function on the real line.
 
-Everything downstream reduces to ml(alpha, beta, z) for real z.  The
-evaluator picks between four routes and keeps a running error estimate so
-a route is only trusted when its own estimate clears an internal gate:
+Everything downstream reduces to ml(alpha, beta, z) for real z.  One
+evaluator, ``mittag_leffler_array``, takes an array of arguments for one
+(alpha, beta) and sends each point down the first route whose own error
+estimate clears that route's internal gate.  Routes and gates act point
+by point as boolean masks; each matrix route builds one row per point,
+in blocks of about a megabyte, and sums every row on its own, so a
+point's value does not depend on the other points in the batch:
 
 * exact closed forms at (alpha, beta) in {1, 2} x {1, 2};
-* the defining power series, summed exactly with math.fsum, for
-  nonnegative z and for negative z with limited cancellation;
-* the tail expansion in powers of 1/z, truncated at its smallest term,
-  for large negative z;
+* the defining power series as a term matrix, for nonnegative z and for
+  negative z with limited cancellation (gate ``ML_TAYLOR_ACCEPT``);
+* the tail expansion in powers of 1/z, each row truncated at its own
+  smallest term, for large negative z (gate ``ML_ASYMP_ACCEPT``);
 * a branch-cut integral (collapsed Hankel contour) for the remaining
-  band of moderately negative z, evaluated with adaptive quadrature.
+  band of moderately negative z: a tanh-sinh rule on [0, |z|] plus an
+  exp-sinh rule on [|z|, inf), with step h compared against step 2h on
+  the nested nodes as each point's error estimate (gate
+  ``ML_ASYMP_ACCEPT``).  A point whose estimate misses the gate falls
+  back to adaptive quadrature (scipy's ``quad``, imported only then).
 
 For alpha > 1 the branch-cut route is unavailable (the integrand picks up
 a non-integrable ridge), so the rare deep-cancellation corner there is
-summed in extended precision instead.
+summed in extended precision (mpmath, imported only then) instead.
+``mittag_leffler`` is the same evaluator on one point.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _sc_gamma
 from scipy.special import gammaln, rgamma
 
 from .constants import ML_ASYMP_ACCEPT, ML_TAYLOR_ACCEPT
 from .errors import DomainError
 
-__all__ = ["gamma", "mittag_leffler", "ml_derivative_kernel"]
+__all__ = ["gamma", "mittag_leffler", "mittag_leffler_array", "ml_derivative_kernel"]
 
 _EPS = 2.2e-16
 # |z|**(1/alpha) above this, the float64 series would lose more digits to
@@ -37,6 +44,13 @@ _EPS = 2.2e-16
 _SERIES_CANCEL_LIMIT = 34.0
 # exp overflows just above 709
 _EXP_OVERFLOW = 705.0
+# entries of one block of a term or node matrix: about 1 MB of float64
+_BLOCK_ELEMS = 1 << 17
+# terms of the tail expansion before its truncation
+_TAIL_TERMS = 199
+# step of the finer double-exponential rule; the coarser takes every
+# second node
+_DE_STEP = 1.0 / 64.0
 
 
 def gamma(x: float) -> float:
@@ -51,103 +65,194 @@ def gamma(x: float) -> float:
     return float(_sc_gamma(x))
 
 
-def _validate(alpha: float, beta: float, z: float) -> tuple[float, float, float]:
-    alpha = float(alpha)
-    beta = float(beta)
-    z = float(z)
-    if not (math.isfinite(alpha) and 0.0 < alpha <= 2.0):
-        raise DomainError(f"order alpha must lie in (0, 2], got {alpha!r}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"second parameter beta must be positive, got {beta!r}")
-    if not math.isfinite(z):
-        raise DomainError(f"argument must be finite, got {z!r}")
-    return alpha, beta, z
+def _row_blocks(n_rows: int, width: int):
+    """Slices of at most _BLOCK_ELEMS // width rows covering n_rows."""
+    step = max(1, _BLOCK_ELEMS // width)
+    for start in range(0, n_rows, step):
+        yield slice(start, start + step)
 
 
-def _closed_form(alpha: float, beta: float, z: float) -> float | None:
+def _closed_form(alpha: float, beta: float, z: np.ndarray) -> np.ndarray | None:
     # exponential / trigonometric special cases, exact up to libm
     if alpha == 1.0:
         if beta == 1.0:
-            return math.exp(z)
+            return np.exp(z)
         if beta == 2.0:
-            return math.expm1(z) / z if z != 0.0 else 1.0
+            return np.where(z != 0.0, np.expm1(z) / z, 1.0)
     elif alpha == 2.0:
+        r = np.sqrt(np.abs(z))
         if beta == 1.0:
-            return math.cos(math.sqrt(-z)) if z < 0.0 else math.cosh(math.sqrt(z))
+            return np.where(z < 0.0, np.cos(r), np.cosh(r))
         if beta == 2.0:
-            if z == 0.0:
-                return 1.0
-            r = math.sqrt(abs(z))
-            return math.sin(r) / r if z < 0.0 else math.sinh(r) / r
+            return np.where(z == 0.0, 1.0, np.where(z < 0.0, np.sin(r), np.sinh(r)) / r)
     return None
 
 
-def _series(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """Power series with exact (fsum) accumulation.
+def _series(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Power series, one row of terms per point.
 
-    Returns (value, relative error estimate).  Terms are built in log
-    space so individual magnitudes up to exp(705) never overflow.
+    Returns (values, relative error estimates).  Terms are built in log
+    space so individual magnitudes up to exp(705) never overflow.  A row
+    starts with 128 terms and doubles until its own last term is dead;
+    a point still unconverged at 2**21 terms gets (nan, inf).
     """
-    x = abs(z)
+    value = np.full(z.size, math.nan)
+    est = np.full(z.size, math.inf)
+    log_x = np.log(np.abs(z))
+    pending = np.arange(z.size)
     n_hi = 128
-    while True:
+    while pending.size and n_hi <= (1 << 21):
         n = np.arange(n_hi, dtype=float)
-        logt = n * math.log(x) - gammaln(alpha * n + beta)
-        peak = logt.max()
-        # converged when the last term is dead both absolutely and
-        # relative to the largest term
-        if logt[-1] < peak - 40.0 and logt[-1] < -42.0:
-            break
+        log_gamma = gammaln(alpha * n + beta)
+        alternating = np.where(n % 2 == 0, 1.0, -1.0)
+        converged = np.zeros(pending.size, dtype=bool)
+        for rows in _row_blocks(pending.size, n_hi):
+            idx = pending[rows]
+            logt = n * log_x[idx, None] - log_gamma
+            peak = logt.max(axis=1)
+            last = logt[:, -1]
+            # converged when the last term is dead both absolutely and
+            # relative to the largest term
+            ok = (last < peak - 40.0) & (last < -42.0)
+            converged[rows] = ok
+            idx = idx[ok]
+            mags = np.exp(logt[ok])
+            signed = np.where(z[idx, None] < 0.0, mags * alternating, mags)
+            total = signed.sum(axis=1)
+            value[idx] = total
+            est[idx] = _EPS * mags.sum(axis=1) / np.maximum(np.abs(total), 1e-300)
+        pending = pending[~converged]
         n_hi *= 2
-        if n_hi > (1 << 21):
-            return math.nan, math.inf
-    mags = np.exp(logt)
-    if z < 0.0:
-        signs = np.where(np.arange(n_hi) % 2 == 0, 1.0, -1.0)
-        value = math.fsum(mags * signs)
-    else:
-        value = math.fsum(mags)
-    abssum = math.fsum(mags)
-    est = _EPS * abssum / max(abs(value), 1e-300)
     return value, est
 
 
-def _tail_expansion(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """Expansion in 1/z for z << 0, truncated at the smallest term."""
-    terms: list[float] = []
-    prev = math.inf
-    zk = 1.0
-    omitted = math.inf
-    for k in range(1, 200):
-        zk /= z
-        t = -zk * rgamma(beta - alpha * k)
-        if k > 1 and abs(t) > prev:
-            omitted = abs(t)
-            break
-        if t != 0.0:
-            prev = abs(t)
-        terms.append(t)
-        omitted = abs(t)
-    if not terms:
-        return math.nan, math.inf
-    value = math.fsum(terms)
-    abssum = math.fsum(abs(t) for t in terms)
-    est = (omitted + _EPS * abssum) / max(abs(value), 1e-300)
+def _tail_expansion(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expansion in 1/z for z << 0, each row truncated at its smallest term.
+
+    Term k is -z**-k / Gamma(beta - alpha k), k = 1 .. 199.  A row stops
+    before the first term (k > 1) that outgrows the last nonzero one; the
+    omitted term, or the last one if none outgrows, is the error
+    estimate's truncation part.
+    """
+    k = np.arange(1, _TAIL_TERMS + 1, dtype=float)
+    neg_rgamma = -rgamma(beta - alpha * k)
+    col = np.arange(_TAIL_TERMS)
+    value = np.empty(z.size)
+    est = np.empty(z.size)
+    for rows in _row_blocks(z.size, _TAIL_TERMS + 1):
+        # z**-k as 1 / z / z / ... / z, one division per term
+        chain = np.empty((z[rows].size, _TAIL_TERMS + 1))
+        chain[:, 0] = 1.0
+        chain[:, 1:] = z[rows, None]
+        terms = np.divide.accumulate(chain, axis=1)[:, 1:] * neg_rgamma
+        mag = np.abs(terms)
+        # magnitude of the last nonzero term up to each column (inf before any)
+        last_nz = np.maximum.accumulate(np.where(mag != 0.0, col, -1), axis=1)
+        prev = np.take_along_axis(mag, np.maximum(last_nz, 0), axis=1)
+        prev[last_nz < 0] = math.inf
+        grows = mag[:, 1:] > prev[:, :-1]
+        stop = np.where(grows.any(axis=1), grows.argmax(axis=1) + 1, _TAIL_TERMS)
+        kept = col < stop[:, None]
+        total = np.where(kept, terms, 0.0).sum(axis=1)
+        abssum = np.where(kept, mag, 0.0).sum(axis=1)
+        omitted = mag[np.arange(mag.shape[0]), np.minimum(stop, _TAIL_TERMS - 1)]
+        value[rows] = total
+        est[rows] = (omitted + _EPS * abssum) / np.maximum(np.abs(total), 1e-300)
     return value, est
 
 
-def _branch_cut_integral(alpha: float, beta: float, z: float) -> float:
-    """Collapsed Hankel contour for 0 < alpha < 1, z < 0.
+def _reduce_beta(alpha: float, beta: float) -> tuple[float, list[float]]:
+    """(b, shifts): b < 1 + alpha reached from beta by steps of alpha.
 
-    Valid for beta < 1 + alpha; larger beta is first reduced through the
-    shift identity E(alpha, beta) = (E(alpha, beta - alpha) - 1/Gamma(beta
-    - alpha)) / z and climbed back afterwards.
+    The branch-cut integral is valid for b < 1 + alpha; larger beta is
+    reduced through E(alpha, beta) = (E(alpha, beta - alpha) - 1/Gamma(beta
+    - alpha)) / z and climbed back afterwards over ``shifts``.
     """
     shifts: list[float] = []
     b = beta
     while b >= 1.0 + alpha - 1e-9:
         b -= alpha
         shifts.append(b)
+    return b, shifts
+
+
+def _branch_cut_nodes(alpha: float, b: float):
+    """Nodes of the branch-cut rule in the scaled variable a = chi / |z|.
+
+    With chi = |z| a the integral is |z|**pw * sum_k c_k exp(-X A_k),
+    X = |z|**(1/alpha), A_k = a_k**(1/alpha), pw = (1 - b) / alpha: every
+    node constant is independent of z.  Tanh-sinh nodes cover a in (0, 1],
+    exp-sinh nodes a in [1, inf); both lattices run over even multiples of
+    the step, so the even nodes form the rule of step 2h.  Returns
+    (A_even, c_even, A_odd, c_odd, end columns of the even set).
+    """
+    h = _DE_STEP
+    pw = (1.0 - b) / alpha
+    # a**pw is integrable at 0 only barely when pw is near -1: reach far
+    # enough left that a_min**(1 + pw) is dead, short of underflow
+    left = 3.2
+    if pw < 0.0:
+        left = max(left, math.asinh(min(40.0 / (1.0 + pw), 690.0) / math.pi))
+    t = np.arange(-2 * math.ceil(left / h / 2), 2 * math.ceil(3.2 / h / 2) + 1) * h
+    e = np.exp(-math.pi * np.abs(np.sinh(t)))
+    a_ts = np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    w_ts = math.pi * np.cosh(t) * e / (1.0 + e) ** 2
+    s = np.arange(-2 * math.ceil(4.0 / h / 2), 2 * math.ceil(3.0 / h / 2) + 1) * h
+    off = np.exp(0.5 * math.pi * np.sinh(s))
+    a_es = 1.0 + off
+    w_es = 0.5 * math.pi * np.cosh(s) * off
+
+    sa = math.sin(math.pi * (1.0 - b))
+    sb = math.sin(math.pi * (1.0 - b + alpha))
+    ca = math.cos(math.pi * alpha)
+    # a**2 + 2 a cos(pi alpha) + 1 as a sum of squares, which keeps its
+    # relative accuracy at the ridge a = -cos(pi alpha) when alpha -> 1
+    s2 = math.sin(math.pi * alpha) ** 2
+
+    def parts(a, w):
+        c = w * a ** pw * (a * sa + sb) / ((a + ca) ** 2 + s2) / (math.pi * alpha)
+        return a ** (1.0 / alpha), c
+
+    A_ts, c_ts = parts(a_ts, w_ts)
+    A_es, c_es = parts(a_es, w_es)
+    A_even = np.concatenate([A_ts[::2], A_es[::2]])
+    c_even = np.concatenate([c_ts[::2], c_es[::2]])
+    A_odd = np.concatenate([A_ts[1::2], A_es[1::2]])
+    c_odd = np.concatenate([c_ts[1::2], c_es[1::2]])
+    n_ts = A_ts[::2].size
+    ends = np.array([0, n_ts - 1, n_ts, A_even.size - 1])
+    return A_even, c_even, A_odd, c_odd, ends
+
+
+def _branch_cut(alpha: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed Hankel contour for 0 < alpha < 1, z < 0, b < 1 + alpha.
+
+    Double-exponential rule (Takahasi & Mori) on the integral
+    representation of Gorenflo, Loutchko & Luchko.  Returns (values,
+    relative error estimates): |S_h - S_2h| plus the size of the end
+    terms, over |S_h|.
+    """
+    h = _DE_STEP
+    A_even, c_even, A_odd, c_odd, ends = _branch_cut_nodes(alpha, b)
+    x = -z
+    X = x ** (1.0 / alpha)
+    even = np.empty(z.size)
+    odd = np.empty(z.size)
+    edge = np.empty(z.size)
+    for rows in _row_blocks(z.size, A_even.size):
+        p = np.exp(-X[rows, None] * A_even) * c_even
+        even[rows] = p.sum(axis=1)
+        edge[rows] = np.abs(p[:, ends]).sum(axis=1)
+        odd[rows] = (np.exp(-X[rows, None] * A_odd) * c_odd).sum(axis=1)
+    fine = h * (even + odd)
+    coarse = 2.0 * h * even
+    est = (np.abs(fine - coarse) + h * edge) / np.abs(fine)
+    return x ** ((1.0 - b) / alpha) * fine, est
+
+
+def _branch_cut_quad(alpha: float, b: float, z: float) -> float:
+    """The branch-cut integral at one point by adaptive quadrature."""
+    from scipy.integrate import quad
 
     sa = math.sin(math.pi * (1.0 - b))
     sb = math.sin(math.pi * (1.0 - b + alpha))
@@ -170,12 +275,8 @@ def _branch_cut_integral(alpha: float, beta: float, z: float) -> float:
     # epsrel sits at the float64 floor, so quadpack may flag its own
     # roundoff limit; full_output keeps that out of the warning stream
     # (accuracy is pinned against series oracles in the test suite)
-    value = quad(integrand, 0.0, upper, points=points, limit=800,
-                 epsabs=1e-280, epsrel=5e-14, full_output=1)[0]
-
-    for bb in reversed(shifts):
-        value = (value - rgamma(bb)) / z
-    return value
+    return quad(integrand, 0.0, upper, points=points, limit=800,
+                epsabs=1e-280, epsrel=5e-14, full_output=1)[0]
 
 
 def _extended_precision_series(alpha: float, beta: float, z: float) -> float:
@@ -202,47 +303,85 @@ def _extended_precision_series(alpha: float, beta: float, z: float) -> float:
         return float(s)
 
 
+def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """Route every point of the 1-D array z; see the module docstring."""
+    closed = _closed_form(alpha, beta, z)
+    if closed is not None:
+        return closed
+    out = np.empty(z.size)
+    out[z == 0.0] = rgamma(beta)
+
+    pos = np.flatnonzero(z > 0.0)
+    huge = z[pos] ** (1.0 / alpha) > _EXP_OVERFLOW
+    out[pos[huge]] = math.inf
+    out[pos[~huge]] = _series(alpha, beta, z[pos[~huge]])[0]
+
+    # z < 0: the cheap float64 routes first, each behind its own gate
+    rest = np.flatnonzero(z < 0.0)
+    near = np.abs(z[rest]) ** (1.0 / alpha) <= _SERIES_CANCEL_LIMIT
+    value, est = _series(alpha, beta, z[rest[near]])
+    ok = np.zeros(rest.size, dtype=bool)
+    ok[near] = est <= ML_TAYLOR_ACCEPT
+    out[rest[ok]] = value[ok[near]]
+    rest = rest[~ok]
+
+    value, est = _tail_expansion(alpha, beta, z[rest])
+    ok = (est <= ML_ASYMP_ACCEPT) & (value != 0.0)
+    out[rest[ok]] = value[ok]
+    rest = rest[~ok]
+    if not rest.size:
+        return out
+
+    if alpha >= 1.0 - 1e-9:
+        out[rest] = [_extended_precision_series(alpha, beta, float(q)) for q in z[rest]]
+        return out
+    b, shifts = _reduce_beta(alpha, beta)
+    zr = z[rest]
+    value, est = _branch_cut(alpha, b, zr)
+    # the last float64 route answers to the tighter of the two gates;
+    # |S_h - S_2h| measures the coarser rule's error, so it also errs on
+    # the safe side for the finer one
+    for i in np.flatnonzero(~(est <= ML_ASYMP_ACCEPT)):
+        value[i] = _branch_cut_quad(alpha, b, float(zr[i]))
+    for bb in reversed(shifts):
+        value = (value - rgamma(bb)) / zr
+    out[rest] = value
+    return out
+
+
+def mittag_leffler_array(alpha: float, beta: float, z) -> np.ndarray:
+    """E_{alpha,beta}(z) for every entry of a real array z, one (alpha, beta).
+
+    Same contract as ``mittag_leffler``, which is this function on one
+    point: each entry's value is the same bits whatever else is in the
+    array and in whatever order.  Raises DomainError naming the first
+    non-finite entry.
+    """
+    alpha = float(alpha)
+    beta = float(beta)
+    if not (math.isfinite(alpha) and 0.0 < alpha <= 2.0):
+        raise DomainError(f"order alpha must lie in (0, 2], got {alpha!r}")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise DomainError(f"second parameter beta must be positive, got {beta!r}")
+    z = np.array(z, dtype=float)
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise DomainError(f"argument must be finite, got {float(z[bad][0])!r}")
+    # masked-out rows overflow or divide by zero by design
+    with np.errstate(all="ignore"):
+        return _evaluate(alpha, beta, z.ravel()).reshape(z.shape)
+
+
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """E_{alpha,beta}(z) for real z, alpha in (0, 2], beta > 0.
 
     Relative accuracy 1e-10 or better for |z| <= 50 (and far better over
     most of that range); for z <= 0 with beta = 1 the value lies in
     (0, 1].  Values beyond float64 range (large positive z with small
-    alpha) come back as inf.  Results are memoized; the solver hits the
-    same (alpha, beta, z) triples over and over on its lag tables.
+    alpha) come back as inf.  Tables of many arguments should go through
+    ``mittag_leffler_array``, which gives the same bits per point.
     """
-    alpha, beta, z = _validate(alpha, beta, z)
-    return _mittag_leffler_cached(alpha, beta, z)
-
-
-@functools.lru_cache(maxsize=1 << 17)
-def _mittag_leffler_cached(alpha: float, beta: float, z: float) -> float:
-
-    cf = _closed_form(alpha, beta, z)
-    if cf is not None:
-        return cf
-    if z == 0.0:
-        return float(rgamma(beta))
-
-    if z > 0.0:
-        if z ** (1.0 / alpha) > _EXP_OVERFLOW:
-            return math.inf
-        value, _ = _series(alpha, beta, z)
-        return value
-
-    # z < 0: try the cheap float64 routes first, each behind its own gate
-    if abs(z) ** (1.0 / alpha) <= _SERIES_CANCEL_LIMIT:
-        value, est = _series(alpha, beta, z)
-        if est <= ML_TAYLOR_ACCEPT:
-            return value
-
-    value, est = _tail_expansion(alpha, beta, z)
-    if est <= ML_ASYMP_ACCEPT and value != 0.0:
-        return value
-
-    if alpha < 1.0 - 1e-9:
-        return _branch_cut_integral(alpha, beta, z)
-    return _extended_precision_series(alpha, beta, z)
+    return float(mittag_leffler_array(alpha, beta, [float(z)])[0])
 
 
 def ml_derivative_kernel(alpha: float, lam: float, t: float) -> float:

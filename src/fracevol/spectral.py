@@ -4,7 +4,8 @@ The generator is represented by its eigenvalues: a state is a vector of
 coefficients against a fixed orthonormal eigenbasis, and every operator
 acts mode by mode.  The two one-parameter families that drive fractional
 evolution, their classical resolvent, and the norm constants used by the
-admissibility checks all reduce to scalar Mittag-Leffler evaluations.
+admissibility checks all reduce to Mittag-Leffler tables, one per
+(alpha, beta), filled by ``ml_table``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fraccalc import SampledFn, TimeGrid, singular_convolution_all
-from .specfun import gamma, mittag_leffler
+from .specfun import gamma, mittag_leffler_array
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,9 @@ def ml_table(lambdas, alpha: float, beta: float, times) -> np.ndarray:
     """E_{alpha,beta}(-lambda_n * t**alpha) for every time and rate.
 
     Row i holds times[i], column n the rate lambdas[n].  t**alpha is the
-    scalar float power, so a row is bit for bit what a scalar evaluation at
-    that time gives.  Every value comes from mittag_leffler and its cache.
+    scalar float power, so an entry is bit for bit what the scalar
+    mittag_leffler gives at that time and rate.  The distinct arguments
+    go through one mittag_leffler_array call.
     """
     alpha = _check_alpha(alpha)
     lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
@@ -100,12 +102,10 @@ def ml_table(lambdas, alpha: float, beta: float, times) -> np.ndarray:
     ok = np.isfinite(ts) & (ts >= 0.0)
     if not ok.all():
         raise DomainError(f"time must be finite and nonnegative, got {float(ts[~ok][0])!r}")
-    out = np.empty((ts.size, lams.size))
-    for i, t in enumerate(ts):
-        ta = float(t) ** alpha
-        for n, lam in enumerate(lams):
-            out[i, n] = mittag_leffler(alpha, beta, -lam * ta)
-    return out
+    t_alpha = np.array([float(t) ** alpha for t in ts])
+    args = -lams[None, :] * t_alpha[:, None]
+    distinct, inverse = np.unique(args.ravel(), return_inverse=True)
+    return mittag_leffler_array(alpha, beta, distinct)[inverse].reshape(args.shape)
 
 
 def decay_factors(model: SpectralModel, alpha: float, t: float) -> np.ndarray:

@@ -81,6 +81,23 @@ def test_ml_known_values():
     )
 
 
+def test_cli_leaves_scipy_integrate_unimported():
+    # adaptive quadrature is only the Mittag-Leffler fallback; neither the
+    # import nor a demo-range evaluation may pay for loading it
+    code = (
+        "import sys\n"
+        "import fracevol.cli\n"
+        "assert 'scipy.integrate' not in sys.modules, 'import'\n"
+        "assert fracevol.cli.main(['ml', '0.75', '0.75', '-8']) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'ml'\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) == pytest.approx(mittag_leffler(0.75, 0.75, -8.0), rel=1e-12)
+
+
 def test_ml_bad_arguments():
     assert run_cli("ml", "1", "1").returncode == 2
     assert run_cli("ml", "x", "1", "1").returncode == 2

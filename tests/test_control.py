@@ -362,6 +362,41 @@ def test_steer_builds_one_assembly(monkeypatch):
     assert built == [32]
 
 
+def test_reachability_experiment_builds_one_assembly(monkeypatch):
+    from fracevol import greens
+
+    built = []
+    init = greens.ResponseAssembly.__init__
+
+    def counting_init(self, problem, grid):
+        built.append(grid.n_steps)
+        init(self, problem, grid)
+
+    monkeypatch.setattr(greens.ResponseAssembly, "__init__", counting_init)
+    prob = demo_problem(n_modes=3)
+    grid = TimeGrid(1.0, 32)
+    targets = [np.array([0.05, 0.01, 0.0]), np.array([0.02, 0.0, 0.005])]
+    table = reachability_experiment(prob, grid, targets, [1e-2, 1e-3])
+    assert len(table.rows) == 4
+    assert built == [32]
+    # every cell is what a lone steer call gives
+    for tid, rho, err, energy, outer in table.rows:
+        res = steer(prob, grid, targets[tid], rho)
+        assert (err, energy, outer) == (res.endpoint_error, res.control_energy, res.outer_iterations)
+
+
+def test_reachability_rejects_bad_cells_before_any_work():
+    prob = single_mode()
+    grid = TimeGrid(1.0, 64)
+    with pytest.raises(DomainError, match="rhos"):
+        reachability_experiment(prob, grid, [np.zeros(1)], [math.inf, 1e-3])
+    with pytest.raises(DomainError, match="target"):
+        reachability_experiment(prob, grid, [np.zeros(1), np.zeros(2)], [1e-3])
+    with pytest.raises(DomainError, match="max_outer"):
+        reachability_experiment(prob, grid, [np.zeros(1)], [1e-3], max_outer=0)
+    assert reachability_experiment(prob, grid, [], [1e-3]).rows == ()
+
+
 def test_public_steering_functionals_equal_the_shared_assembly():
     from fracevol.control import _steering_setup
     from fracevol.greens import endpoint_response_rows

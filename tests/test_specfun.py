@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracevol import constants
+from fracevol import constants, specfun
 from fracevol.errors import DomainError
-from fracevol.specfun import gamma, mittag_leffler, ml_derivative_kernel
+from fracevol.specfun import gamma, mittag_leffler, mittag_leffler_array, ml_derivative_kernel
 
 import oracles
 
@@ -173,3 +175,87 @@ def test_kernel_values():
 def test_kernel_domain(alpha, lam, t):
     with pytest.raises(DomainError):
         ml_derivative_kernel(alpha, lam, t)
+
+
+# ------------------------------------------------------- array evaluator
+
+# deterministic examples, no example database written next to the tests
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+ORDERS = st.floats(0.3, 1.0)
+SECOND = st.floats(0.0, 2.0, exclude_min=True)
+
+
+@PROPERTY
+@given(
+    alpha=ORDERS,
+    beta=SECOND,
+    z=st.lists(st.floats(-60.0, 5.0), min_size=1, max_size=24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ml_array_bits_do_not_depend_on_batch(alpha, beta, z, seed):
+    # a batch, a shuffled copy of it and its single elements give the same bits
+    z = np.array(z)
+    batch = mittag_leffler_array(alpha, beta, z)
+    perm = np.random.default_rng(seed).permutation(z.size)
+    assert np.array_equal(mittag_leffler_array(alpha, beta, z[perm]), batch[perm])
+    assert np.array_equal([mittag_leffler(alpha, beta, q) for q in z], batch)
+
+
+def test_ml_array_bits_across_blocks():
+    # batches far larger than one block of every route's matrix
+    rng = np.random.default_rng(7)
+    z = np.concatenate([-rng.uniform(0.0, 60.0, 4000), rng.uniform(0.0, 5.0, 200)])
+    for alpha, beta in ((0.75, 1.0), (0.75, 0.75), (0.4, 1.3)):
+        batch = mittag_leffler_array(alpha, beta, z)
+        perm = rng.permutation(z.size)
+        assert np.array_equal(mittag_leffler_array(alpha, beta, z[perm]), batch[perm])
+        pick = rng.choice(z.size, 60, replace=False)
+        assert np.array_equal([mittag_leffler(alpha, beta, z[i]) for i in pick], batch[pick])
+        grid = mittag_leffler_array(alpha, beta, z[:200].reshape(20, 10))
+        assert np.array_equal(grid.ravel(), batch[:200])
+
+
+def test_ml_array_domain():
+    with pytest.raises(DomainError, match="finite"):
+        mittag_leffler_array(0.75, 1.0, [-1.0, math.nan])
+    with pytest.raises(DomainError, match="alpha"):
+        mittag_leffler_array(2.5, 1.0, [-1.0])
+    assert mittag_leffler_array(0.75, 1.0, []).shape == (0,)
+
+
+@PROPERTY
+@given(alpha=ORDERS, beta=SECOND, z=st.floats(-50.0, 5.0))
+def test_ml_shift_recurrence_property(alpha, beta, z):
+    # E_{a,b}(z) = z * E_{a,a+b}(z) + 1/Gamma(b)
+    lhs = mittag_leffler(alpha, beta, z)
+    shifted = z * mittag_leffler(alpha, alpha + beta, z)
+    rhs = shifted + 1.0 / gamma(beta)
+    scale = max(1.0, abs(lhs), abs(shifted))
+    assert abs(lhs - rhs) <= constants.ML_RECURRENCE_TOL * scale
+
+
+@pytest.mark.parametrize(
+    "alpha,betas,z",
+    [
+        (0.3, (1.0, 0.3), -np.geomspace(0.5, 60.0, 20)),
+        (0.55, (1.0, 0.55), -np.geomspace(0.5, 60.0, 20)),
+        (0.95, (1.0, 0.95), -np.geomspace(0.5, 60.0, 20)),
+        # the double-exponential estimate misses its gate here
+        (0.2, (0.2,), -np.array([4.6, 5.3, 7.0, 12.0])),
+    ],
+)
+def test_ml_array_against_oracle_with_fallback(monkeypatch, alpha, betas, z):
+    fallbacks = []
+    quad = specfun._branch_cut_quad
+
+    def counted(*args):
+        fallbacks.append(args)
+        return quad(*args)
+
+    monkeypatch.setattr(specfun, "_branch_cut_quad", counted)
+    for beta in betas:
+        got = mittag_leffler_array(alpha, beta, z)
+        ref = [oracles.ml_oracle(alpha, beta, float(q)) for q in z]
+        assert got == pytest.approx(ref, rel=constants.ML_REL_TOL)
+    if alpha == 0.2:
+        assert len(fallbacks) == z.size

@@ -31,6 +31,7 @@ from .greens import (
     _fixed_point,
     _pinning_gap,
     _ratio,
+    _transient_run,
     solve_mild,
 )
 
@@ -162,7 +163,10 @@ def regularized_W(
 
     shape = (grid.n_steps + 1, problem.n_modes)
     what = "regularized iteration"
-    u, diffs = _fixed_point(step, shape, tol=tol, max_iter=max_iter, what=what)
+    run_limit = _transient_run(problem, max_iter, identity_share=1.0 / n)
+    u, diffs = _fixed_point(
+        step, shape, tol=tol, max_iter=max_iter, run_limit=run_limit, what=what
+    )
     report = SolveReport(
         iterations=len(diffs),
         final_residual=diffs[-1],

@@ -21,16 +21,10 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .constants import NEUMANN_TRUNC_TOL, SOLVE_MAX_ITER_DEFAULT, SOLVE_TOL_DEFAULT
 from .errors import AdmissibilityError, ConvergenceError, DomainError
-from .fraccalc import (
-    SampledFn,
-    TimeGrid,
-    singular_convolution_all,
-    singular_kernel_weights,
-)
+from .fraccalc import ProductQuadrature, SampledFn, TimeGrid, singular_kernel_weights
 from .spectral import SpectralModel, decay_factors, kernel_factors, ml_table
 
 __all__ = [
@@ -52,6 +46,13 @@ __all__ = [
     "sine_collocation_source",
     "mode_gain_source",
 ]
+
+# growing updates allowed past the transient of _transient_run's bound
+# before _fixed_point stops as diverging
+_DIVERGENCE_MARGIN = 10
+# rows per matrix product of sine_collocation_source; a fixed height keeps
+# every row's bits independent of how many rows come in one call
+_SOURCE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -273,19 +274,67 @@ def _ratio(diffs: list[float], default: float) -> float:
     return diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0.0 else default
 
 
+def _transient_run(
+    problem: ProblemSpec, max_iter: int, *, damping: float = 1.0, identity_share: float = 0.0
+) -> int:
+    """Consecutive growing updates after which a Picard run counts as diverging.
+
+    Every response kernel is at most t**(alpha - 1) / Gamma(alpha), so for
+    the step u <- (1 - damping) u + damping (R + identity_share) f(u), R the
+    response integral without its pinning correction and f L-Lipschitz,
+    the n-th update is at most the first one's sup times
+
+        B_n = sum_j C(n, j) a**(n - j) b**j / Gamma(j alpha + 1),
+        a = 1 - damping + damping L identity_share,
+        b = damping L horizon**alpha.
+
+    For a < 1 the bound grows for a transient and then collapses, so the
+    updates of this part always converge in the end; they may grow for
+    about as long as the bound does (about (L horizon**alpha)**(1/alpha)
+    / alpha updates when damping is 1 and identity_share 0).  Returns
+    that transient plus _DIVERGENCE_MARGIN, or max_iter when B_n never
+    collapses.  The pinning correction is left out of the bound: for a
+    pinned problem a longer run is taken as divergence, not proved one.
+    """
+    lip = 0.0 if problem.nonlinearity is None else problem.nonlinearity.lipschitz_bound
+    a = 1.0 - damping + damping * lip * identity_share
+    b = damping * lip * problem.horizon ** problem.alpha
+    if a >= 1.0:
+        return max_iter
+    log_a = math.log(a) if a > 0.0 else -math.inf
+    log_b = math.log(b) if b > 0.0 else -math.inf
+    # log of the coefficient of 1/Gamma(j alpha + 1) in B_n, j = 0..n
+    log_coef = np.zeros(1)
+    log_gamma = [0.0]
+    log_bound = 0.0
+    for n in range(1, max_iter):
+        log_coef = np.logaddexp(
+            np.append(log_coef + log_a, -math.inf), np.insert(log_coef + log_b, 0, -math.inf)
+        )
+        log_gamma.append(math.lgamma(n * problem.alpha + 1.0))
+        log_next = float(np.logaddexp.reduce(log_coef - np.asarray(log_gamma)))
+        if not log_next > log_bound:
+            return n - 1 + _DIVERGENCE_MARGIN
+        log_bound = log_next
+    return max_iter
+
+
 def _fixed_point(
     step: Callable[[np.ndarray], np.ndarray],
     shape: tuple[int, int],
     *,
     tol: float,
     max_iter: int,
+    run_limit: int,
     damping: float = 1.0,
     what: str = "Picard iteration",
 ) -> tuple[np.ndarray, list[float]]:
     """Iterate u <- step(u) from zero until the sup-norm update is <= tol.
 
-    Returns the last iterate and the update history, or raises
-    ConvergenceError with both when max_iter updates do not get there.
+    Returns the last iterate and the update history.  Raises
+    ConvergenceError with both when max_iter updates do not get there,
+    and fails fast when the iteration diverges: on a non-finite iterate,
+    or after run_limit consecutive growing updates (see _transient_run).
     """
     if not (0.0 < damping <= 1.0):
         raise DomainError("damping must lie in (0, 1]")
@@ -293,18 +342,28 @@ def _fixed_point(
         raise DomainError("max_iter must be positive")
     u = np.zeros(shape)
     diffs: list[float] = []
+    growing = 0
     for _ in range(max_iter):
         u_next = step(u)
         if damping != 1.0:
             u_next = (1.0 - damping) * u + damping * u_next
         diff = float(np.max(np.abs(u_next - u)))
+        growing = growing + 1 if diffs and diff > diffs[-1] else 0
         diffs.append(diff)
         u = u_next
         if diff <= tol:
             return u, diffs
+        if not math.isfinite(diff):
+            message = f"{what} diverged to a non-finite iterate"
+            break
+        if growing >= run_limit:
+            message = f"{what} diverged: {growing} consecutive growing updates"
+            break
+    else:
+        message = f"{what} did not reach tolerance"
     raise ConvergenceError(
-        f"{what} did not reach tolerance",
-        iterations=max_iter,
+        message,
+        iterations=len(diffs),
         final_residual=diffs[-1],
         contraction_estimate=_ratio(diffs, math.inf),
         trace=diffs,
@@ -314,8 +373,9 @@ def _fixed_point(
 class ResponseAssembly:
     """Everything about (problem, grid) that does not change across iterations.
 
-    Holds the per-mode inverse factors, decay samples, the (nodes x modes)
-    convolution lag table, and the quadrature rows at the pinning times.
+    Holds the per-mode inverse factors, decay samples, the product
+    quadrature over the (nodes x modes) convolution lag table, and the
+    quadrature rows at the pinning times.
     Build it once per (problem, grid): solve runs the Picard iteration on
     it and endpoint_rows gives the steering functionals under exactly the
     same discretization.
@@ -331,7 +391,7 @@ class ResponseAssembly:
         lams, alpha = problem.model.lambdas, problem.alpha
         self.decay_nodes = ml_table(lams, alpha, 1.0, grid.nodes)
         lags = np.arange(grid.n_steps + 1) * grid.delta
-        self.lag_tables = ml_table(lams, alpha, alpha, lags)
+        self._quadrature = ProductQuadrature(alpha, grid, ml_table(lams, alpha, alpha, lags))
         # weight rows turning sampled forcing into the response integral at
         # each pinning time; pinning times may sit strictly between nodes
         self.pin_rows = np.empty((problem.coupling.n_points, n_modes, grid.n_steps + 1))
@@ -341,9 +401,7 @@ class ResponseAssembly:
 
     def convolve_all(self, forcing: np.ndarray) -> np.ndarray:
         """Response integral at every node; forcing is (n_nodes, n_modes)."""
-        return singular_convolution_all(
-            self.problem.alpha, self.lag_tables, SampledFn(self.grid, forcing)
-        )
+        return self._quadrature(forcing)
 
     def pin_responses(self, forcing: np.ndarray) -> np.ndarray:
         """Response integral at each pinning time; result is (n_points, n_modes)."""
@@ -393,7 +451,12 @@ class ResponseAssembly:
             return self.response(forcing)
 
         u, diffs = _fixed_point(
-            step, base.shape, tol=tol, max_iter=max_iter, damping=damping
+            step,
+            base.shape,
+            tol=tol,
+            max_iter=max_iter,
+            run_limit=_transient_run(problem, max_iter, damping=damping),
+            damping=damping,
         )
         # final consistency of the pinning identity, under the same quadrature
         pins = self.pin_responses(forcing)
@@ -590,23 +653,41 @@ def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity
     Represents u(x) on (0, pi) from its first n_modes coefficients,
     applies x -> sin(x) pointwise with the 1/(t**2 + 1) decay factor, and
     projects back.  Pointwise 1-Lipschitz transforms preserve the discrete
-    norms, so the declared constants are 1 and sqrt(pi).  All rows are
-    transformed by one DST each way; a single (t, u) row works as well.
+    norms, so the declared constants are 1 and sqrt(pi).
+
+    Both sine transforms (DST-I) are products with one precomputed
+    (collocation x collocation) sine matrix, of which a call uses the rows
+    of its modes.  Rows go through in zero-padded
+    blocks of _SOURCE_BLOCK rows, so one (t, u) row and a whole trajectory
+    run the same matrix shapes and every row gets the same bits either way.
     """
     if collocation < n_modes:
         raise DomainError("collocation must be at least the mode count")
     k = int(collocation)
-    synth_scale = math.sqrt(1.0 / (2.0 * math.pi))
-    anal_scale = math.sqrt(math.pi / 2.0) / (k + 1)
+    # sin(pi m j / (k + 1)) with the integer product reduced mod 2 (k + 1)
+    # before scaling, so large products lose no argument bits; rows past
+    # n_modes serve states with more coefficients, as the DST did
+    j = np.arange(1, k + 1)
+    sines = np.sin(math.pi * (np.outer(j, j) % (2 * (k + 1))) / (k + 1))
+    synthesis = 2.0 * math.sqrt(1.0 / (2.0 * math.pi)) * sines  # modes -> points
+    analysis = 2.0 * math.sqrt(math.pi / 2.0) / (k + 1) * sines  # points -> modes
 
     def fn(t, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
         n = u.shape[-1]
-        coeff = np.zeros(u.shape[:-1] + (k,))
-        coeff[..., :n] = u
-        point_vals = synth_scale * scipy.fft.dst(coeff, type=1, axis=-1)
-        transformed = np.sin(point_vals) / np.asarray(t * t + 1.0)[..., None]
-        back = anal_scale * scipy.fft.dst(transformed, type=1, axis=-1)
-        return back[..., :n]
+        rows = u.reshape(-1, n)
+        n_rows = rows.shape[0]
+        n_blocks = -(-n_rows // _SOURCE_BLOCK)
+        padded = np.zeros((n_blocks * _SOURCE_BLOCK, n))
+        padded[:n_rows] = rows
+        times = np.broadcast_to(np.asarray(t, dtype=float), u.shape[:-1]).ravel()
+        divisor = np.ones(n_blocks * _SOURCE_BLOCK)
+        divisor[:n_rows] = times * times + 1.0
+        blocks = padded.reshape(n_blocks, _SOURCE_BLOCK, n)
+        point_vals = blocks @ synthesis[:n]
+        transformed = np.sin(point_vals) / divisor.reshape(n_blocks, _SOURCE_BLOCK, 1)
+        back = (transformed @ analysis[:n].T).reshape(-1, n)
+        return back[:n_rows].reshape(u.shape)
 
     return Nonlinearity(fn=fn, lipschitz_bound=1.0, source_bound=math.sqrt(math.pi))
 

@@ -22,7 +22,15 @@ point's value does not depend on the other points in the batch:
 
 For alpha > 1 the branch-cut route is unavailable (the integrand picks up
 a non-integrable ridge), so the rare deep-cancellation corner there is
-summed in extended precision (mpmath, imported only then) instead.
+summed in extended precision (mpmath, imported only then) instead.  The
+same sum serves alpha within 1e-4 below 1, where the branch-cut integrand
+has a ridge of width pi (1 - alpha) at chi = |z| that neither quadrature
+resolves (at alpha = 0.99999 both miss it, at 0.99995 both still get it).
+Within 1e-4 of alpha = 1 on either side, the tail expansion's gate also
+counts the contribution of the poles s**alpha = z next to the negative
+axis, which its truncation estimate cannot see; relative to the value it
+grows like 1 / |1 - alpha|, and outside the band it stays below
+ML_REL_TOL.
 ``mittag_leffler`` is the same evaluator on one point.
 """
 from __future__ import annotations
@@ -51,6 +59,14 @@ _TAIL_TERMS = 199
 # step of the finer double-exponential rule; the coarser takes every
 # second node
 _DE_STEP = 1.0 / 64.0
+# the rule's left end in the scaled variable is exp(-_DE_REACH), short of
+# underflow; a share exp(-_DE_DEAD) of the integral's mass counts as dead
+_DE_REACH = 690.0
+_DE_DEAD = 40.0
+# half-width of the band around alpha = 1 where the tail expansion's gate
+# counts the pole contribution and, below 1, the branch cut gives way to
+# the extended-precision series (see the module docstring)
+_NEAR_ONE = 1e-4
 
 
 def gamma(x: float) -> float:
@@ -162,15 +178,20 @@ def _tail_expansion(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarra
 
 
 def _reduce_beta(alpha: float, beta: float) -> tuple[float, list[float]]:
-    """(b, shifts): b < 1 + alpha reached from beta by steps of alpha.
+    """(b, shifts): b safely below 1 + alpha, reached from beta by steps of alpha.
 
-    The branch-cut integral is valid for b < 1 + alpha; larger beta is
+    The branch-cut integral is valid for b < 1 + alpha, but its integrand
+    a**pw, pw = (1 - b) / alpha, is barely integrable at 0 as b nears
+    1 + alpha.  So beta above 1 + alpha (1 - _DE_DEAD / _DE_REACH) is
     reduced through E(alpha, beta) = (E(alpha, beta - alpha) - 1/Gamma(beta
     - alpha)) / z and climbed back afterwards over ``shifts``.
     """
     shifts: list[float] = []
     b = beta
-    while b >= 1.0 + alpha - 1e-9:
+    # the rule's left end a_min = exp(-_DE_REACH) leaves a_min**(1 + pw)
+    # of the mass of a**pw uncovered; keep 1 + pw >= _DE_DEAD / _DE_REACH
+    # so that share is exp(-_DE_DEAD) at most
+    while b >= 1.0 + alpha * (1.0 - _DE_DEAD / _DE_REACH):
         b -= alpha
         shifts.append(b)
     return b, shifts
@@ -192,7 +213,7 @@ def _branch_cut_nodes(alpha: float, b: float):
     # enough left that a_min**(1 + pw) is dead, short of underflow
     left = 3.2
     if pw < 0.0:
-        left = max(left, math.asinh(min(40.0 / (1.0 + pw), 690.0) / math.pi))
+        left = max(left, math.asinh(min(_DE_DEAD / (1.0 + pw), _DE_REACH) / math.pi))
     t = np.arange(-2 * math.ceil(left / h / 2), 2 * math.ceil(3.2 / h / 2) + 1) * h
     e = np.exp(-math.pi * np.abs(np.sinh(t)))
     a_ts = np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -280,7 +301,7 @@ def _branch_cut_quad(alpha: float, b: float, z: float) -> float:
 
 
 def _extended_precision_series(alpha: float, beta: float, z: float) -> float:
-    # last resort for alpha in [1, 2), z < 0, cancellation beyond float64
+    # last resort for alpha >= 1 - _NEAR_ONE, z < 0, cancellation beyond float64
     import mpmath as mp
 
     peak = abs(z) ** (1.0 / alpha)
@@ -326,13 +347,21 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     rest = rest[~ok]
 
     value, est = _tail_expansion(alpha, beta, z[rest])
+    if abs(alpha - 1.0) <= _NEAR_ONE:
+        # the expansion drops the contribution of the poles s**alpha = z,
+        # next to the negative axis here: 2 x**(1 - beta) exp(x cos(pi/alpha))
+        # / alpha at most, x = |z|**(1/alpha), invisible to its truncation
+        # estimate
+        x = (-z[rest]) ** (1.0 / alpha)
+        pole = 2.0 * x ** (1.0 - beta) * np.exp(x * math.cos(math.pi / alpha)) / alpha
+        est = est + pole / np.abs(value)
     ok = (est <= ML_ASYMP_ACCEPT) & (value != 0.0)
     out[rest[ok]] = value[ok]
     rest = rest[~ok]
     if not rest.size:
         return out
 
-    if alpha >= 1.0 - 1e-9:
+    if alpha >= 1.0 - _NEAR_ONE:
         out[rest] = [_extended_precision_series(alpha, beta, float(q)) for q in z[rest]]
         return out
     b, shifts = _reduce_beta(alpha, beta)

@@ -156,6 +156,21 @@ def test_simulate_exhausted_budget_exits_4(tmp_path):
     assert "no convergence" in out.stderr
 
 
+def test_simulate_diverging_source_exits_4_early(tmp_path):
+    # a Lipschitz-50 source pinned by weight 0.9 at horizon 0.02: the run
+    # stops on growing updates, not at max_iter
+    cfg = tmp_path / "expanding.ini"
+    text = SMALL.replace("nonlinearity = none", "nonlinearity = gains\ngains = 50 50")
+    text = text.replace("horizon = 1", "horizon = 0.02")
+    text = text.replace("coupling_weights = 0.2", "coupling_weights = 0.9")
+    cfg.write_text(text.replace("coupling_times = 0.4", "coupling_times = 0.02"))
+    out = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert out.returncode == 4
+    assert "consecutive growing updates" in out.stderr
+    iterations = int(out.stderr.split("iterations=")[1].split(",")[0])
+    assert iterations < 20
+
+
 def test_steer_sweep_outputs_table(tmp_path):
     cfg = tmp_path / "steer.ini"
     cfg.write_text(SMALL_STEER)

@@ -11,8 +11,10 @@ import pytest
 import oracles
 from fracevol.errors import DomainError
 from fracevol.fraccalc import (
+    ProductQuadrature,
     SampledFn,
     TimeGrid,
+    _uniform_kernel,
     caputo_derivative,
     rl_derivative,
     rl_integral,
@@ -25,7 +27,7 @@ from fracevol.fraccalc import (
 )
 from fracevol.constants import CAPUTO_CONST_TOL, QUADRATURE_MATCH_TOL
 from fracevol.specfun import gamma, mittag_leffler
-from fracevol.spectral import ml_table
+from fracevol.spectral import SpectralModel, ml_table
 
 
 def grid_fn(horizon, n, func):
@@ -446,3 +448,65 @@ def test_derivatives_of_columns_match_column_calls(op):
     out = op(0.4, SampledFn(g, data)).values
     for m in range(2):
         assert np.array_equal(out[:, m], op(0.4, SampledFn(g, data[:, m])).values)
+
+
+# ------------------------------------------------------ FFT product quadrature
+
+
+def _assert_matches_direct_sum(alpha, grid, table, data):
+    n = grid.n_steps
+    out = ProductQuadrature(alpha, grid, table)(data)
+    k, mu1 = _uniform_kernel(alpha, n)
+    ref = grid.delta ** alpha * oracles.product_quadrature_direct(
+        k, mu1[1:], table, data.reshape(n + 1, -1)
+    )
+    assert np.all(out[0] == 0.0)  # the integral over an empty interval
+    assert np.max(np.abs(out.reshape(ref.shape) - ref)) <= QUADRATURE_MATCH_TOL * np.max(
+        np.abs(out)
+    )
+
+
+def test_product_quadrature_matches_direct_sum_on_demo_lag_table():
+    # the solver's table: 8 Dirichlet modes, alpha 0.75, 512 steps
+    alpha = 0.75
+    grid = TimeGrid(1.0, 512)
+    lams = SpectralModel.dirichlet_laplacian(8).lambdas
+    table = ml_table(lams, alpha, alpha, np.arange(513) * grid.delta)
+    rng = np.random.default_rng(7001)
+    forcing = 0.3 + 0.2 * rng.standard_normal((513, 8))
+    _assert_matches_direct_sum(alpha, grid, table, forcing)
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 513])
+def test_product_quadrature_matches_direct_sum_on_random_data(n):
+    rng = np.random.default_rng(7100 + n)
+    grid = TimeGrid(1.3, n)
+    for alpha in (0.35, 0.8, 1.0):
+        table = rng.uniform(0.2, 1.5, (n + 1, 3))
+        _assert_matches_direct_sum(alpha, grid, table, rng.standard_normal((n + 1, 3)))
+        # one shared kernel column, and 1-D data
+        _assert_matches_direct_sum(alpha, grid, table[:, 0], rng.standard_normal((n + 1, 4)))
+        _assert_matches_direct_sum(alpha, grid, table[:, 0], rng.standard_normal(n + 1))
+
+
+def test_product_quadrature_reuse_equals_one_shot_calls():
+    # one object serves many data sets with the same bits as fresh calls
+    alpha = 0.6
+    grid = TimeGrid(1.0, 64)
+    rng = np.random.default_rng(7200)
+    table = np.exp(-np.outer(np.arange(65) * grid.delta, [0.5, 3.0]))
+    quad = ProductQuadrature(alpha, grid, table)
+    for _ in range(3):
+        data = rng.standard_normal((65, 2))
+        assert np.array_equal(quad(data), singular_convolution_all(alpha, table, SampledFn(grid, data)))
+
+
+def test_product_quadrature_rejects_misfit_data():
+    grid = TimeGrid(1.0, 40)
+    quad = ProductQuadrature(0.6, grid, np.ones((41, 2)))
+    with pytest.raises(DomainError, match=r"\(41, 2\).*\(41, 3\)"):
+        quad(np.ones((41, 3)))
+    with pytest.raises(DomainError, match=r"\(40, 2\)"):
+        quad(np.ones((40, 2)))
+    with pytest.raises(DomainError, match=r"\(42,\)"):
+        ProductQuadrature(0.6, grid, np.ones(42))

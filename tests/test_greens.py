@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fracevol.constants import NEUMANN_CLOSED_FORM_TOL
@@ -14,6 +17,7 @@ from fracevol.greens import (
     NonlocalSpec,
     ProblemSpec,
     Trajectory,
+    _transient_run,
     build_O,
     check_H1,
     green_apply,
@@ -442,6 +446,44 @@ def test_batched_sources_equal_row_by_row_bit_for_bit():
         assert single.shape == (8,)
 
 
+def _sine_source_by_dst(t, u, collocation=64):
+    # the sine source through two scipy DST-I calls
+    k = collocation
+    coeff = np.zeros(u.shape[:-1] + (k,))
+    coeff[..., : u.shape[-1]] = u
+    point_vals = math.sqrt(1.0 / (2.0 * math.pi)) * scipy.fft.dst(coeff, type=1, axis=-1)
+    transformed = np.sin(point_vals) / np.asarray(t * t + 1.0)[..., None]
+    back = math.sqrt(math.pi / 2.0) / (k + 1) * scipy.fft.dst(transformed, type=1, axis=-1)
+    return back[..., : u.shape[-1]]
+
+
+def test_sine_source_matches_scipy_dst():
+    grid = TimeGrid(1.0, 512)
+    rng = np.random.default_rng(2601)
+    src = sine_collocation_source(8)
+    states = 0.5 * rng.standard_normal((513, 8))
+    got = src.fn(grid.nodes, states)
+    assert np.max(np.abs(got - _sine_source_by_dst(grid.nodes, states))) <= 1e-15
+    # fewer coefficients than the source was built for, and a wider basis
+    u = rng.standard_normal((7, 5))
+    t = np.linspace(0.0, 1.0, 7)
+    assert np.max(np.abs(src.fn(t, u) - _sine_source_by_dst(t, u))) <= 1e-15
+    wide = sine_collocation_source(8, collocation=100)
+    assert np.max(np.abs(wide.fn(t, u) - _sine_source_by_dst(t, u, 100))) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n_rows=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+def test_sine_source_batch_equals_row_by_row_bit_for_bit(n_rows, seed):
+    rng = np.random.default_rng(seed)
+    src = sine_collocation_source(8)
+    times = rng.uniform(0.0, 1.0, n_rows)
+    states = rng.standard_normal((n_rows, 8))
+    batch = src.fn(times, states)
+    rows = np.array([src.fn(float(t), u) for t, u in zip(times, states)])
+    assert np.array_equal(batch, rows)
+
+
 # ------------------------------------------------------- source failures
 
 
@@ -481,3 +523,81 @@ def test_verify_fails_fast_on_a_bad_source():
         verify_mild(_broken_source_problem(_nan_from_half), traj)
     with pytest.raises(DomainError, match=SHAPE_MESSAGE):
         verify_mild(_broken_source_problem(lambda t, u: u[..., :2]), traj)
+
+
+# ------------------------------------------------------- divergence
+
+
+def _gain_problem(gain, horizon, weights=(), times=()):
+    return ProblemSpec(
+        SpectralModel.dirichlet_laplacian(4),
+        0.75,
+        NonlocalSpec(np.array(weights), np.array(times), horizon),
+        nonlinearity=mode_gain_source(np.full(4, gain)),
+        control_gains=1.0,
+    )
+
+
+def _constant_control(grid):
+    return SampledFn(grid, 0.3 * np.ones((grid.n_steps + 1, 4)))
+
+
+def test_transient_run_counts_the_growth_of_the_bound():
+    # damping 1: the bound is (L T**alpha)**n / Gamma(n alpha + 1), which
+    # grows while L T**alpha > Gamma(n alpha + 1) / Gamma((n - 1) alpha + 1)
+    for gain, horizon in ((1.0, 1.0), (3.0, 1.0), (8.0, 1.0), (50.0, 0.02)):
+        log_lt = math.log(gain * horizon ** 0.75)
+        grows = sum(
+            log_lt > math.lgamma(n * 0.75 + 1.0) - math.lgamma((n - 1) * 0.75 + 1.0)
+            for n in range(1, 200)
+        )
+        assert _transient_run(_gain_problem(gain, horizon), 200) == grows + 10
+    # about (L T**alpha)**(1/alpha) / alpha growing updates
+    assert _transient_run(_gain_problem(8.0, 1.0), 200) == 21 + 10
+    # a damped step stays near its start longer, so it may grow longer
+    damped = _transient_run(_gain_problem(8.0, 1.0), 200, damping=0.5)
+    assert 31 < damped < 200
+    # an identity share of Lipschitz constant 1 or more never collapses
+    assert _transient_run(_gain_problem(2.0, 1.0), 200, identity_share=0.5) == 200
+
+
+def test_solve_stops_early_on_a_diverging_iteration():
+    # a Lipschitz-50 source pinned by weight 0.9 at horizon 0.02: every
+    # update grows, by a factor of about 18, while a converging run could
+    # grow for only 4 (the bound's transient) + 10 updates
+    grid = TimeGrid(0.02, 64)
+    problem = _gain_problem(50.0, 0.02, [0.9], [0.02])
+    with pytest.raises(ConvergenceError, match="diverged: 14 consecutive growing") as exc:
+        solve_mild(problem, grid, _constant_control(grid))
+    assert exc.value.iterations < 20
+    assert len(exc.value.trace) == exc.value.iterations
+    assert all(b > a for a, b in zip(exc.value.trace, exc.value.trace[1:]))
+    assert exc.value.contraction_estimate > 1.0
+
+
+def test_solve_stops_on_a_non_finite_iterate():
+    # forcing near the float64 ceiling overflows the response integral
+    prob = demo_problem(n_modes=2)
+    grid = TimeGrid(1.0, 16)
+    huge = SampledFn(grid, np.full((17, 2), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ConvergenceError, match="non-finite iterate"
+    ) as exc:
+        solve_mild(prob, grid, raw_forcing=huge)
+    assert exc.value.iterations == 1
+
+
+def test_a_long_transient_growth_still_converges():
+    # gain 8 with no pinning points: the updates grow for about 20
+    # iterations (the Volterra transient), then collapse
+    grid = TimeGrid(1.0, 64)
+    problem = _gain_problem(8.0, 1.0)
+    with pytest.raises(ConvergenceError, match="did not reach tolerance") as exc:
+        solve_mild(problem, grid, _constant_control(grid), max_iter=25)
+    growing = [b > a for a, b in zip(exc.value.trace, exc.value.trace[1:])]
+    assert sum(growing) >= 15 and all(growing[:15])
+    _, rep = solve_mild(problem, grid, _constant_control(grid))
+    assert rep.final_residual <= 1e-8
+    # gain 3 pinned at 0.4: a few growing updates, then a slow contraction
+    _, rep = solve_mild(_gain_problem(3.0, 1.0, [0.2], [0.4]), grid, _constant_control(grid))
+    assert rep.final_residual <= 1e-8

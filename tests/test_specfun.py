@@ -259,3 +259,23 @@ def test_ml_array_against_oracle_with_fallback(monkeypatch, alpha, betas, z):
         assert got == pytest.approx(ref, rel=constants.ML_REL_TOL)
     if alpha == 0.2:
         assert len(fallbacks) == z.size
+
+
+@pytest.mark.parametrize("alpha", [0.9998, 0.9999, 0.99995, 0.99999, 1.00001])
+def test_ml_near_alpha_one_against_oracle(alpha):
+    # a ridge of width pi (1 - alpha) at chi = |z| defeats both branch-cut
+    # quadratures and hides from the tail expansion's truncation estimate;
+    # 0.9998 lies just outside the band that routes around both
+    z = -np.concatenate([np.geomspace(0.5, 50.0, 24), [5.682, 6.5, 36.5, 40.0]])
+    for beta in (1.0, alpha):
+        got = mittag_leffler_array(alpha, beta, z)
+        ref = [oracles.ml_oracle(alpha, beta, float(q)) for q in z]
+        assert got == pytest.approx(ref, rel=constants.ML_REL_TOL)
+
+
+def test_ml_beta_just_below_one_plus_alpha_against_oracle():
+    # chi**((1 - b)/alpha) with b a hair below 1 + alpha is barely integrable
+    # at 0; the shift reduction must take over before the rule loses mass
+    alpha, beta, z = 0.5355063214036464, 1.5354963214036466, -7.644053761200283
+    got = mittag_leffler(alpha, beta, z)
+    assert got == pytest.approx(oracles.ml_oracle(alpha, beta, z), rel=constants.ML_REL_TOL)

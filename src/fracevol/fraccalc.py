@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .errors import DomainError
 from .specfun import gamma
@@ -117,6 +116,20 @@ def _uniform_kernel(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     k[0] = mu1[1]
     k[1:] = mu0[1 : n + 1] - mu1[1 : n + 1] + mu1[2 : n + 2]
     return k, mu1
+
+
+def _fast_len(m: int) -> int:
+    """Smallest 2**a 3**b 5**c >= m, the real FFT's fast lengths."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest p35 * 2**a >= m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def rl_integral(alpha: float, f: SampledFn) -> SampledFn:
@@ -278,10 +291,11 @@ class ProductQuadrature:
     smooth_at_lags[d] must hold h(d * delta).  A 1-D table is one kernel for
     every data column; an (n_nodes, n_cols) table gives data column m its
     own kernel, column m.  Building it forms the weighted table k * h and
-    the t = 0 correction mu1 * h once, and the real FFT of the weighted
-    table at a fast length of at least 2 n + 1, so that the circular
-    convolution equals the linear one on the nodes.  Each call is then one
-    forward and one inverse real FFT over all data columns: the same sums
+    the t = 0 correction mu1 * h once, and the real FFT (numpy.fft) of the
+    weighted table at the smallest 5-smooth length of at least 2 n + 1, so
+    that the circular convolution equals the linear one on the nodes.  Each
+    call is then one forward and one inverse real FFT over all data
+    columns: the same sums
     as the node-by-node quadrature, up to the FFT's rounding.  Node 0, the
     integral over an empty interval, is exactly 0.  Every column's value is
     the same bits as when that column is transformed alone.
@@ -298,8 +312,8 @@ class ProductQuadrature:
         scale = grid.delta ** alpha
         self.grid = grid
         self._table_shape = table.shape
-        self._size = scipy.fft.next_fast_len(2 * n + 1, real=True)
-        self._spectrum = scipy.fft.rfft(scale * k[:, None] * cols, self._size, axis=0)
+        self._size = _fast_len(2 * n + 1)
+        self._spectrum = np.fft.rfft(scale * k[:, None] * cols, self._size, axis=0)
         self._correction = scale * mu1[1 : n + 2, None] * cols
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
@@ -311,8 +325,8 @@ class ProductQuadrature:
                 f"kernel table {self._table_shape} does not fit data {vals.shape}"
             )
         cols = vals.reshape(n + 1, -1)
-        spectrum = scipy.fft.rfft(cols, self._size, axis=0) * self._spectrum
-        out = scipy.fft.irfft(spectrum, self._size, axis=0)[: n + 1]
+        spectrum = np.fft.rfft(cols, self._size, axis=0) * self._spectrum
+        out = np.fft.irfft(spectrum, self._size, axis=0)[: n + 1]
         out -= self._correction * cols[0]
         out[0] = 0.0
         return out.reshape(vals.shape)

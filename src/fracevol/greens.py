@@ -659,7 +659,8 @@ def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity
     (collocation x collocation) sine matrix, of which a call uses the rows
     of its modes.  Rows go through in zero-padded
     blocks of _SOURCE_BLOCK rows, so one (t, u) row and a whole trajectory
-    run the same matrix shapes and every row gets the same bits either way.
+    run the same matrix shapes and every row gets the same bits either way;
+    the sine and the decay factor act on the live rows only.
     """
     if collocation < n_modes:
         raise DomainError("collocation must be at least the mode count")
@@ -681,12 +682,14 @@ def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity
         padded = np.zeros((n_blocks * _SOURCE_BLOCK, n))
         padded[:n_rows] = rows
         times = np.broadcast_to(np.asarray(t, dtype=float), u.shape[:-1]).ravel()
-        divisor = np.ones(n_blocks * _SOURCE_BLOCK)
-        divisor[:n_rows] = times * times + 1.0
-        blocks = padded.reshape(n_blocks, _SOURCE_BLOCK, n)
-        point_vals = blocks @ synthesis[:n]
-        transformed = np.sin(point_vals) / divisor.reshape(n_blocks, _SOURCE_BLOCK, 1)
-        back = (transformed @ analysis[:n].T).reshape(-1, n)
+        point_vals = padded.reshape(n_blocks, _SOURCE_BLOCK, n) @ synthesis[:n]
+        # sin and the decay on the live rows only; padding rows go to 0
+        flat = point_vals.reshape(-1, k)
+        live = flat[:n_rows]
+        np.sin(live, out=live)
+        live /= (times * times + 1.0)[:, None]
+        flat[n_rows:] = 0.0
+        back = (point_vals @ analysis[:n].T).reshape(-1, n)
         return back[:n_rows].reshape(u.shape)
 
     return Nonlinearity(fn=fn, lipschitz_bound=1.0, source_bound=math.sqrt(math.pi))

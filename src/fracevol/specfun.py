@@ -32,14 +32,16 @@ axis, which its truncation estimate cannot see; relative to the value it
 grows like 1 / |1 - alpha|, and outside the band it stays below
 ML_REL_TOL.
 ``mittag_leffler`` is the same evaluator on one point.
+
+Gamma, log Gamma and 1/Gamma come from the standard library's
+``math.gamma`` and ``math.lgamma``, so importing this module loads numpy
+only; scipy and mpmath load on the first point that needs their route.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import gamma as _sc_gamma
-from scipy.special import gammaln, rgamma
 
 from .constants import ML_ASYMP_ACCEPT, ML_TAYLOR_ACCEPT
 from .errors import DomainError
@@ -70,15 +72,45 @@ _NEAR_ONE = 1e-4
 
 
 def gamma(x: float) -> float:
-    """Gamma restricted to x > 0.
+    """Gamma restricted to x > 0, from the standard library's ``math.gamma``.
 
     Raises DomainError off the half line (poles and reflection are not
-    this package's business); relative accuracy 1e-13 or better.
+    this package's business); relative accuracy 1e-13 or better.  Values
+    beyond float64 range (x above about 171.6, or x below about 5.6e-309)
+    come back as inf.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma requires a finite x > 0, got {x!r}")
-    return float(_sc_gamma(x))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """log|Gamma| of every entry of a vector of positive term indices."""
+    return np.array([math.lgamma(v) for v in x.tolist()])
+
+
+def _rgamma(x):
+    """1/Gamma of a float, or of every entry of an array.
+
+    0 at the poles 0, -1, -2, ... and above about 171.6, where Gamma
+    overflows; a signed inf below about -171.5, where Gamma underflows.
+    """
+    if np.ndim(x):
+        return np.array([_rgamma(v) for v in np.asarray(x, dtype=float).tolist()])
+    x = float(x)
+    if 0.0 < x < 1e-300:
+        # Gamma(x) overflows; 1/Gamma(x) = x / Gamma(1 + x) = x in float64
+        return x
+    try:
+        g = math.gamma(x)
+    except (OverflowError, ValueError):
+        return 0.0
+    # a signed subnormal or zero Gamma has a reciprocal of inf of its sign
+    return math.copysign(math.inf, g) if g == 0.0 else 1.0 / g
 
 
 def _row_blocks(n_rows: int, width: int):
@@ -119,7 +151,7 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.nd
     n_hi = 128
     while pending.size and n_hi <= (1 << 21):
         n = np.arange(n_hi, dtype=float)
-        log_gamma = gammaln(alpha * n + beta)
+        log_gamma = _lgamma(alpha * n + beta)
         alternating = np.where(n % 2 == 0, 1.0, -1.0)
         converged = np.zeros(pending.size, dtype=bool)
         for rows in _row_blocks(pending.size, n_hi):
@@ -148,10 +180,17 @@ def _tail_expansion(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarra
     Term k is -z**-k / Gamma(beta - alpha k), k = 1 .. 199.  A row stops
     before the first term (k > 1) that outgrows the last nonzero one; the
     omitted term, or the last one if none outgrows, is the error
-    estimate's truncation part.
+    estimate's truncation part.  A coefficient whose argument lies within
+    rounding of a pole of 1/Gamma is exactly 0, so it never stops a row.
     """
     k = np.arange(1, _TAIL_TERMS + 1, dtype=float)
-    neg_rgamma = -rgamma(beta - alpha * k)
+    arg = beta - alpha * k
+    neg_rgamma = -_rgamma(arg)
+    # an argument within rounding of a pole stands for the pole itself:
+    # its 1/Gamma is 0, not a rounding-sized live term that would stop
+    # the row early
+    pole = np.round(arg)
+    neg_rgamma[(pole <= 0.0) & (np.abs(arg - pole) <= 4.0 * _EPS * (beta + alpha * k))] = 0.0
     col = np.arange(_TAIL_TERMS)
     value = np.empty(z.size)
     est = np.empty(z.size)
@@ -330,7 +369,7 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     if closed is not None:
         return closed
     out = np.empty(z.size)
-    out[z == 0.0] = rgamma(beta)
+    out[z == 0.0] = _rgamma(beta)
 
     pos = np.flatnonzero(z > 0.0)
     huge = z[pos] ** (1.0 / alpha) > _EXP_OVERFLOW
@@ -373,7 +412,7 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~(est <= ML_ASYMP_ACCEPT)):
         value[i] = _branch_cut_quad(alpha, b, float(zr[i]))
     for bb in reversed(shifts):
-        value = (value - rgamma(bb)) / zr
+        value = (value - _rgamma(bb)) / zr
     out[rest] = value
     return out
 

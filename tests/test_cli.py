@@ -98,6 +98,35 @@ def test_cli_leaves_scipy_integrate_unimported():
     assert float(out.stdout) == pytest.approx(mittag_leffler(0.75, 0.75, -8.0), rel=1e-12)
 
 
+def test_cli_leaves_scipy_unimported(tmp_path):
+    # the package runs on numpy and the standard library; scipy backs only
+    # the lazy quadrature fallback, and mpmath only the extended-precision
+    # series, neither of which the demo configs reach
+    configs = REPO / "demos" / "configs"
+    heat = str(tmp_path / "heat")
+    code = (
+        "import sys\n"
+        "import fracevol.cli\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+        " or m == 'mpmath']\n"
+        "assert not loaded(), ('import', loaded())\n"
+        f"assert fracevol.cli.main(['simulate', '--config', {str(configs / 'demo_heat.ini')!r},"
+        f" '--out', {heat!r}]) == 0\n"
+        f"assert fracevol.cli.main(['verify', '--config', {str(configs / 'demo_heat.ini')!r},"
+        f" {heat + '.trajectory.txt'!r}]) == 0\n"
+        "assert not loaded(), ('verify', loaded())\n"
+        f"assert fracevol.cli.main(['steer', '--config', {str(configs / 'demo_steer.ini')!r},"
+        f" '--out', {str(tmp_path / 'steer')!r}]) == 0\n"
+        "assert not loaded(), ('steer', loaded())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=600
+    )
+    assert out.returncode == 0, out.stderr
+    assert "result pass" in out.stdout
+
+
 def test_ml_bad_arguments():
     assert run_cli("ml", "1", "1").returncode == 2
     assert run_cli("ml", "x", "1", "1").returncode == 2

@@ -7,6 +7,9 @@ against refinement behavior.
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fracevol.errors import DomainError
@@ -14,6 +17,7 @@ from fracevol.fraccalc import (
     ProductQuadrature,
     SampledFn,
     TimeGrid,
+    _fast_len,
     _uniform_kernel,
     caputo_derivative,
     rl_derivative,
@@ -510,3 +514,22 @@ def test_product_quadrature_rejects_misfit_data():
         quad(np.ones((40, 2)))
     with pytest.raises(DomainError, match=r"\(42,\)"):
         ProductQuadrature(0.6, grid, np.ones(42))
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    assert [_fast_len(m) for m in range(1, 5001)] == [
+        scipy.fft.next_fast_len(m, real=True) for m in range(1, 5001)
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 600), n_cols=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_product_quadrature_columns_equal_one_column_calls_bit_for_bit(n, n_cols, seed):
+    # the FFT must transform each column on its own, whatever the batch
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(1.0, n)
+    table = rng.uniform(0.2, 1.5, (n + 1, n_cols))
+    data = rng.standard_normal((n + 1, n_cols))
+    out = ProductQuadrature(0.75, grid, table)(data)
+    for m in range(n_cols):
+        assert np.array_equal(out[:, m], ProductQuadrature(0.75, grid, table[:, m])(data[:, m]))

@@ -22,18 +22,20 @@ lists; semicolons separate vectors inside the targets list):
     n_steps = <int >= 1>
 
     [solver]                         optional section
-    tol = <float>
-    max_iter = <int>
-    verify_equation_tol = <float>
-    verify_pinning_tol = <float>
+    tol = <tolerance>
+    max_iter = <budget>
+    verify_equation_tol = <tolerance>
+    verify_pinning_tol = <tolerance>
 
     [experiment]                     optional; required by the steer command
     targets = <float list> [; <float list> ...]
     rho = <strictly decreasing positive float list>
-    steer_tol = <float>
-    max_outer = <int>
+    steer_tol = <tolerance>
+    max_outer = <budget>
 
-Unknown sections or keys are rejected.  normalize_config emits a
+A <tolerance> is a positive finite float: nan, inf, 0 and negative
+values are rejected at load time.  A <budget> is an iteration count
+>= 1.  Unknown sections or keys are rejected.  normalize_config emits a
 canonical text (fixed section and key order, 17-digit floats) whose
 parse is equal to the original.
 """
@@ -42,7 +44,8 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import io
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,23 +79,6 @@ __all__ = [
 VERIFY_EQUATION_TOL_DEFAULT = 2e-3
 VERIFY_PINNING_TOL_DEFAULT = 1e-3
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "model": ("rule", "n_modes", "values"),
-    "problem": (
-        "alpha",
-        "horizon",
-        "coupling_weights",
-        "coupling_times",
-        "kappa",
-        "forcing",
-        "nonlinearity",
-        "gains",
-    ),
-    "grid": ("n_steps",),
-    "solver": ("tol", "max_iter", "verify_equation_tol", "verify_pinning_tol"),
-    "experiment": ("targets", "rho", "steer_tol", "max_outer"),
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -118,25 +104,82 @@ class RunConfig:
     max_outer: int
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+def _fmt(x: float) -> str:
+    return "%.17g" % x
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
+class _Kind(NamedTuple):
+    """How one kind of value is read from and written to the config text."""
+
+    parse: Callable[[str], object]  # raises ValueError on a bad value
+    what: str  # a valid value, as the error message names it
+    format: Callable[[object], str]
 
 
-def _parse_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in raw.split())
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number list: {raw!r}") from exc
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in raw.split())
+
+
+def _budget(raw: str) -> int:
+    n = int(raw)
+    if n < 1:
+        raise ValueError(raw)
+    return n
+
+
+def _tolerance(raw: str) -> float:
+    x = float(raw)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(raw)
+    return x
+
+
+def _word(*choices: str) -> _Kind:
+    def parse(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(raw)
+        return raw
+
+    return _Kind(parse, ", ".join(choices[:-1]) + " or " + choices[-1], str)
+
+
+_FLOAT = _Kind(float, "a number", _fmt)
+_INT = _Kind(int, "an integer", str)
+_BUDGET = _Kind(_budget, "an integer >= 1", str)
+_TOL = _Kind(_tolerance, "a positive finite number", _fmt)
+_FLOATS = _Kind(_floats, "a number list", lambda vals: " ".join(map(_fmt, vals)))
+_VECTORS = _Kind(
+    lambda raw: tuple(map(_floats, raw.split(";"))),
+    "a ;-separated list of number lists",
+    lambda vecs: " ; ".join(map(_FLOATS.format, vecs)),
+)
+
+_REQUIRED = object()
+
+# (section, key, RunConfig field, kind, default when the key is absent),
+# in the order of the normal form
+_KEYS = (
+    ("model", "rule", "rule", _word("dirichlet", "explicit"), "dirichlet"),
+    ("model", "n_modes", "n_modes", _INT, None),
+    ("model", "values", "model_values", _FLOATS, None),
+    ("problem", "alpha", "alpha", _FLOAT, _REQUIRED),
+    ("problem", "horizon", "horizon", _FLOAT, _REQUIRED),
+    ("problem", "coupling_weights", "coupling_weights", _FLOATS, ()),
+    ("problem", "coupling_times", "coupling_times", _FLOATS, ()),
+    ("problem", "kappa", "kappa", _FLOATS, (1.0,)),
+    ("problem", "forcing", "forcing", _FLOATS, None),
+    ("problem", "nonlinearity", "nonlinearity", _word("none", "demo_sin", "gains"), "none"),
+    ("problem", "gains", "gains", _FLOATS, None),
+    ("grid", "n_steps", "n_steps", _INT, _REQUIRED),
+    ("solver", "tol", "tol", _TOL, SOLVE_TOL_DEFAULT),
+    ("solver", "max_iter", "max_iter", _BUDGET, SOLVE_MAX_ITER_DEFAULT),
+    ("solver", "verify_equation_tol", "verify_equation_tol", _TOL, VERIFY_EQUATION_TOL_DEFAULT),
+    ("solver", "verify_pinning_tol", "verify_pinning_tol", _TOL, VERIFY_PINNING_TOL_DEFAULT),
+    ("experiment", "targets", "targets", _VECTORS, ()),
+    ("experiment", "rho", "rhos", _FLOATS, ()),
+    ("experiment", "steer_tol", "steer_tol", _TOL, STEER_TOL_DEFAULT),
+    ("experiment", "max_outer", "max_outer", _BUDGET, STEER_MAX_OUTER_DEFAULT),
+)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -148,160 +191,69 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from exc
 
+    known = {(section, key) for section, key, *_ in _KEYS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {s for s, _ in known}:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if (section, key) not in known:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
     for required in ("model", "problem", "grid"):
         if not parser.has_section(required):
             raise ConfigError(f"missing required section [{required}]")
 
-    def get(section: str, key: str, default: str | None = None) -> str | None:
-        if parser.has_option(section, key):
-            return parser.get(section, key).strip()
-        return default
+    v: dict[str, object] = {}
+    for section, key, field, kind, default in _KEYS:
+        if not parser.has_option(section, key):
+            if default is _REQUIRED:
+                raise ConfigError(f"[{section}] {key} is required")
+            v[field] = default
+            continue
+        raw = parser.get(section, key).strip()
+        try:
+            v[field] = kind.parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: not {kind.what}: {raw!r}") from exc
 
-    rule = get("model", "rule", "dirichlet")
-    if rule not in ("dirichlet", "explicit"):
-        raise ConfigError(f"[model] rule must be dirichlet or explicit, got {rule!r}")
-    raw_values = get("model", "values")
-    if rule == "explicit":
-        if raw_values is None:
+    if v["rule"] == "explicit":
+        if v["model_values"] is None:
             raise ConfigError("[model] rule = explicit needs a values list")
-        model_values: tuple[float, ...] | None = _parse_list("model", "values", raw_values)
-        n_modes = len(model_values)
-        declared = get("model", "n_modes")
-        if declared is not None and _parse_int("model", "n_modes", declared) != n_modes:
+        if v["n_modes"] is not None and v["n_modes"] != len(v["model_values"]):
             raise ConfigError("[model] n_modes contradicts the explicit values list")
-    else:
-        if raw_values is not None:
-            raise ConfigError("[model] values requires rule = explicit")
-        model_values = None
-        declared = get("model", "n_modes")
-        if declared is None:
-            raise ConfigError("[model] n_modes is required for rule = dirichlet")
-        n_modes = _parse_int("model", "n_modes", declared)
+        v["n_modes"] = len(v["model_values"])
+    elif v["model_values"] is not None:
+        raise ConfigError("[model] values requires rule = explicit")
+    elif v["n_modes"] is None:
+        raise ConfigError("[model] n_modes is required for rule = dirichlet")
+    n_modes = v["n_modes"]
     if n_modes < 1:
         raise ConfigError("[model] needs at least one mode")
 
-    raw_alpha = get("problem", "alpha")
-    raw_horizon = get("problem", "horizon")
-    if raw_alpha is None or raw_horizon is None:
-        raise ConfigError("[problem] alpha and horizon are required")
-    alpha = _parse_float("problem", "alpha", raw_alpha)
-    horizon = _parse_float("problem", "horizon", raw_horizon)
-
-    raw_w = get("problem", "coupling_weights")
-    raw_t = get("problem", "coupling_times")
-    if (raw_w is None) != (raw_t is None):
+    if parser.has_option("problem", "coupling_weights") != parser.has_option(
+        "problem", "coupling_times"
+    ):
         raise ConfigError("[problem] coupling_weights and coupling_times come in a pair")
-    weights = _parse_list("problem", "coupling_weights", raw_w) if raw_w else ()
-    times = _parse_list("problem", "coupling_times", raw_t) if raw_t else ()
-    if len(weights) != len(times):
+    if len(v["coupling_weights"]) != len(v["coupling_times"]):
         raise ConfigError("[problem] coupling lists differ in length")
-
-    kappa = _parse_list("problem", "kappa", get("problem", "kappa", "1"))
-    if len(kappa) not in (1, n_modes):
+    if len(v["kappa"]) not in (1, n_modes):
         raise ConfigError(
             f"[problem] kappa must be a scalar or one gain per mode ({n_modes})"
         )
-
-    raw_forcing = get("problem", "forcing")
-    forcing: tuple[float, ...] | None = None
-    if raw_forcing is not None:
-        forcing = _parse_list("problem", "forcing", raw_forcing)
-        if len(forcing) == 1:
-            forcing = forcing * n_modes
-        if len(forcing) != n_modes:
+    if v["forcing"] is not None:
+        if len(v["forcing"]) == 1:
+            v["forcing"] = v["forcing"] * n_modes
+        if len(v["forcing"]) != n_modes:
             raise ConfigError(
                 f"[problem] forcing must be a scalar or one value per mode ({n_modes})"
             )
-
-    nonlinearity = get("problem", "nonlinearity", "none")
-    if nonlinearity not in ("none", "demo_sin", "gains"):
-        raise ConfigError(
-            f"[problem] nonlinearity must be none, demo_sin or gains, got {nonlinearity!r}"
-        )
-    raw_gains = get("problem", "gains")
-    if (nonlinearity == "gains") != (raw_gains is not None):
+    if (v["nonlinearity"] == "gains") != (v["gains"] is not None):
         raise ConfigError("[problem] gains is required iff nonlinearity = gains")
-    gains = _parse_list("problem", "gains", raw_gains) if raw_gains else None
-    if gains is not None and len(gains) != n_modes:
+    if v["gains"] is not None and len(v["gains"]) != n_modes:
         raise ConfigError(f"[problem] gains needs one entry per mode ({n_modes})")
+    if any(len(vec) != n_modes for vec in v["targets"]):
+        raise ConfigError(f"[experiment] each target needs {n_modes} components")
 
-    raw_steps = get("grid", "n_steps")
-    if raw_steps is None:
-        raise ConfigError("[grid] n_steps is required")
-    n_steps = _parse_int("grid", "n_steps", raw_steps)
-
-    tol = _parse_float("solver", "tol", get("solver", "tol", repr(SOLVE_TOL_DEFAULT)))
-    max_iter = _parse_int(
-        "solver", "max_iter", get("solver", "max_iter", str(SOLVE_MAX_ITER_DEFAULT))
-    )
-    eq_tol = _parse_float(
-        "solver",
-        "verify_equation_tol",
-        get("solver", "verify_equation_tol", repr(VERIFY_EQUATION_TOL_DEFAULT)),
-    )
-    pin_tol = _parse_float(
-        "solver",
-        "verify_pinning_tol",
-        get("solver", "verify_pinning_tol", repr(VERIFY_PINNING_TOL_DEFAULT)),
-    )
-
-    raw_targets = get("experiment", "targets")
-    targets: tuple[tuple[float, ...], ...] = ()
-    if raw_targets is not None:
-        groups = [g for g in raw_targets.split(";")]
-        parsed = []
-        for g in groups:
-            vec = _parse_list("experiment", "targets", g)
-            if len(vec) != n_modes:
-                raise ConfigError(
-                    f"[experiment] each target needs {n_modes} components"
-                )
-            parsed.append(vec)
-        targets = tuple(parsed)
-    rhos = (
-        _parse_list("experiment", "rho", get("experiment", "rho"))
-        if get("experiment", "rho") is not None
-        else ()
-    )
-    steer_tol = _parse_float(
-        "experiment", "steer_tol", get("experiment", "steer_tol", repr(STEER_TOL_DEFAULT))
-    )
-    max_outer = _parse_int(
-        "experiment", "max_outer", get("experiment", "max_outer", str(STEER_MAX_OUTER_DEFAULT))
-    )
-
-    cfg = RunConfig(
-        rule=rule,
-        n_modes=n_modes,
-        model_values=model_values,
-        alpha=alpha,
-        horizon=horizon,
-        coupling_weights=weights,
-        coupling_times=times,
-        kappa=kappa,
-        forcing=forcing,
-        nonlinearity=nonlinearity,
-        gains=gains,
-        n_steps=n_steps,
-        tol=tol,
-        max_iter=max_iter,
-        verify_equation_tol=eq_tol,
-        verify_pinning_tol=pin_tol,
-        targets=targets,
-        rhos=rhos,
-        steer_tol=steer_tol,
-        max_outer=max_outer,
-    )
-    if cfg.tol <= 0.0 or cfg.steer_tol <= 0.0:
-        raise ConfigError("[solver]/[experiment] tolerances must be positive")
-    if cfg.max_iter < 1 or cfg.max_outer < 1:
-        raise ConfigError("iteration budgets must be >= 1")
+    cfg = RunConfig(**v)
     # re-validate the module invariants eagerly so a bad config fails at
     # load time, not mid-run
     try:
@@ -320,55 +272,19 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def normalize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(normalize_config(c)) == c."""
-    out = io.StringIO()
-    out.write("[model]\n")
-    out.write(f"rule = {cfg.rule}\n")
-    if cfg.rule == "explicit":
-        assert cfg.model_values is not None
-        out.write("values = " + " ".join(_fmt(v) for v in cfg.model_values) + "\n")
-    else:
-        out.write(f"n_modes = {cfg.n_modes}\n")
-    out.write("\n[problem]\n")
-    out.write(f"alpha = {_fmt(cfg.alpha)}\n")
-    out.write(f"horizon = {_fmt(cfg.horizon)}\n")
-    if cfg.coupling_weights:
-        out.write(
-            "coupling_weights = " + " ".join(_fmt(v) for v in cfg.coupling_weights) + "\n"
-        )
-        out.write(
-            "coupling_times = " + " ".join(_fmt(v) for v in cfg.coupling_times) + "\n"
-        )
-    out.write("kappa = " + " ".join(_fmt(v) for v in cfg.kappa) + "\n")
-    if cfg.forcing is not None:
-        out.write("forcing = " + " ".join(_fmt(v) for v in cfg.forcing) + "\n")
-    out.write(f"nonlinearity = {cfg.nonlinearity}\n")
-    if cfg.gains is not None:
-        out.write("gains = " + " ".join(_fmt(v) for v in cfg.gains) + "\n")
-    out.write("\n[grid]\n")
-    out.write(f"n_steps = {cfg.n_steps}\n")
-    out.write("\n[solver]\n")
-    out.write(f"tol = {_fmt(cfg.tol)}\n")
-    out.write(f"max_iter = {cfg.max_iter}\n")
-    out.write(f"verify_equation_tol = {_fmt(cfg.verify_equation_tol)}\n")
-    out.write(f"verify_pinning_tol = {_fmt(cfg.verify_pinning_tol)}\n")
-    out.write("\n[experiment]\n")
-    if cfg.targets:
-        out.write(
-            "targets = "
-            + " ; ".join(" ".join(_fmt(v) for v in vec) for vec in cfg.targets)
-            + "\n"
-        )
-    if cfg.rhos:
-        out.write("rho = " + " ".join(_fmt(v) for v in cfg.rhos) + "\n")
-    out.write(f"steer_tol = {_fmt(cfg.steer_tol)}\n")
-    out.write(f"max_outer = {cfg.max_outer}\n")
-    return out.getvalue()
+    lines: list[str] = []
+    current = None
+    for section, key, field, kind, _ in _KEYS:
+        if section != current:
+            lines += ["", f"[{section}]"] if lines else [f"[{section}]"]
+            current = section
+        value = getattr(cfg, field)
+        if value is None or value == () or (field == "n_modes" and cfg.rule == "explicit"):
+            continue
+        lines.append(f"{key} = {kind.format(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def build_model(cfg: RunConfig) -> SpectralModel:

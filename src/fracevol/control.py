@@ -27,8 +27,10 @@ from .greens import (
     ResponseAssembly,
     SolveReport,
     Trajectory,
+    _check_tol,
     _eval_source,
     _fixed_point,
+    _forcing_base,
     _pinning_gap,
     _ratio,
     _transient_run,
@@ -109,13 +111,8 @@ def apply_K(problem: ProblemSpec, mu: SampledFn) -> Trajectory:
     Linear and additive in mu; the nonlinearity and the control gains do
     not participate.  See operator_norm_estimate for the bound constant.
     """
-    asm = ResponseAssembly(problem, mu.grid)
-    vals = np.asarray(mu.values, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if vals.shape[1] != problem.n_modes:
-        raise DomainError("forcing must carry one column per mode")
-    return Trajectory(mu.grid, asm.response(vals))
+    vals = _forcing_base(problem, mu.grid, None, mu)
+    return Trajectory(mu.grid, ResponseAssembly(problem, mu.grid).response(vals))
 
 
 def nemytskii(problem: ProblemSpec, z: Trajectory) -> Trajectory:
@@ -152,9 +149,7 @@ def regularized_W(
         raise DomainError("n must be a positive integer")
     n = int(n)
     grid = mu.grid
-    mu_vals = np.asarray(mu.values, dtype=float)
-    if mu_vals.ndim == 1:
-        mu_vals = mu_vals[:, None]
+    mu_vals = _forcing_base(problem, grid, None, mu)
     asm = ResponseAssembly(problem, grid)
 
     def step(u: np.ndarray) -> np.ndarray:
@@ -213,7 +208,6 @@ def steer(
     *,
     tol: float = STEER_TOL_DEFAULT,
     max_outer: int = STEER_MAX_OUTER_DEFAULT,
-    solve_tol: float = SOLVE_TOL_DEFAULT,
 ) -> SteeringResult:
     """Minimum-energy steering toward the target at the horizon.
 
@@ -221,18 +215,18 @@ def steer(
     contribution of the current trajectory frozen: per mode the control is
     the endpoint row scaled by (target - source endpoint) / (rho + Gamma),
     then the semilinear problem is re-solved under that control.  Stops
-    when the achieved endpoint moves less than tol between passes.  The
-    Gramian, the endpoint rows and every solve share one ResponseAssembly.
+    when the achieved endpoint moves less than tol between passes; every
+    solve stops at SOLVE_TOL_DEFAULT.  The Gramian, the endpoint rows and
+    every solve share one ResponseAssembly.
     """
     target = _check_target(problem, target)
     if not (np.isfinite(rho) and rho > 0.0):
         raise DomainError("rho must be positive")
     if max_outer < 1:
         raise DomainError("max_outer must be positive")
+    _check_tol(tol)
     setup = _steering_setup(problem, grid)
-    return _steer_cell(
-        problem, grid, setup, target, rho, tol=tol, max_outer=max_outer, solve_tol=solve_tol
-    )
+    return _steer_cell(problem, grid, setup, target, rho, tol=tol, max_outer=max_outer)
 
 
 def _check_target(problem: ProblemSpec, target) -> np.ndarray:
@@ -251,13 +245,12 @@ def _steer_cell(
     *,
     tol: float,
     max_outer: int,
-    solve_tol: float,
 ) -> SteeringResult:
     """The outer loop of ``steer`` on a prepared ``_steering_setup``."""
     asm, rows, scaled, gamma_modes = setup
     omega = trapezoid_weights(grid)
 
-    traj, _ = asm.solve(tol=solve_tol)
+    traj, _ = asm.solve()
     if np.all(problem.control_gains == 0.0):
         endpoint = traj.final
         err = float(np.linalg.norm(endpoint - target))
@@ -281,7 +274,7 @@ def _steer_cell(
         mismatch = (target - source_endpoint) / (rho + gamma_modes)
         v = (scaled / omega[None, :]) * mismatch[:, None]  # (modes, nodes)
         signal = ControlSignal(grid, v.T.copy())
-        traj, _ = asm.solve(signal, tol=solve_tol)
+        traj, _ = asm.solve(signal)
         change = float(np.linalg.norm(traj.final - endpoint))
         endpoint = traj.final
         trace.append(change)
@@ -328,6 +321,7 @@ def reachability_experiment(
         raise DomainError("rhos must be strictly decreasing")
     if max_outer < 1:
         raise DomainError("max_outer must be positive")
+    _check_tol(tol)
     kept = [_check_target(problem, target) for target in targets]
     if not kept:
         return ReachabilityTable(rows=(), targets=())
@@ -335,10 +329,7 @@ def reachability_experiment(
     rows: list[tuple[int, float, float, float, int]] = []
     for tid, target in enumerate(kept):
         for rho in rhos:
-            res = _steer_cell(
-                problem, grid, setup, target, rho,
-                tol=tol, max_outer=max_outer, solve_tol=SOLVE_TOL_DEFAULT,
-            )
+            res = _steer_cell(problem, grid, setup, target, rho, tol=tol, max_outer=max_outer)
             rows.append(
                 (tid, rho, res.endpoint_error, res.control_energy, res.outer_iterations)
             )

@@ -319,6 +319,16 @@ def _transient_run(
     return max_iter
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a stopping tolerance that is not positive and finite.
+
+    nan and negative values are never met, and inf is met by any first
+    update, however far from the fixed point.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _fixed_point(
     step: Callable[[np.ndarray], np.ndarray],
     shape: tuple[int, int],
@@ -340,6 +350,7 @@ def _fixed_point(
         raise DomainError("damping must lie in (0, 1]")
     if max_iter < 1:
         raise DomainError("max_iter must be positive")
+    _check_tol(tol)
     u = np.zeros(shape)
     diffs: list[float] = []
     growing = 0

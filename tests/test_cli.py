@@ -169,6 +169,16 @@ def test_simulate_missing_config(tmp_path):
     assert "config error" in out.stderr
 
 
+def test_simulate_nan_tol_exits_2_before_solving(tmp_path):
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(SMALL + "\n[solver]\ntol = nan\n")
+    out = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert out.returncode == 2
+    assert "config error" in out.stderr
+    assert "[solver] tol" in out.stderr
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_simulate_inadmissible_coupling_exits_3(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(SMALL.replace("coupling_weights = 0.2", "coupling_weights = 1.5"))

@@ -1,8 +1,11 @@
 """Config grammar: parsing, validation, normal form, builders."""
 
+import re
+
 import numpy as np
 import pytest
 
+from fracevol import config
 from fracevol.config import (
     build_forcing,
     build_grid,
@@ -55,6 +58,74 @@ verify_pinning_tol = 2e-3
 targets = 0.1 0.2 ; 0 0
 rho = 0.1 0.001
 steer_tol = 1e-8
+max_outer = 11
+"""
+
+
+EXPLICIT = FULL.replace(
+    "rule = dirichlet\nn_modes = 2", "rule = explicit\nn_modes = 2\nvalues = 1 4.5"
+)
+
+# normalize_config texts of FULL and EXPLICIT, pinned byte for byte
+FULL_NORMAL = """\
+[model]
+rule = dirichlet
+n_modes = 2
+
+[problem]
+alpha = 0.59999999999999998
+horizon = 2.5
+coupling_weights = 0.20000000000000001 -0.10000000000000001
+coupling_times = 0.5 1.25
+kappa = 2
+forcing = 0.29999999999999999 0.29999999999999999
+nonlinearity = gains
+gains = -1 -0.5
+
+[grid]
+n_steps = 48
+
+[solver]
+tol = 1.0000000000000001e-09
+max_iter = 77
+verify_equation_tol = 0.0050000000000000001
+verify_pinning_tol = 0.002
+
+[experiment]
+targets = 0.10000000000000001 0.20000000000000001 ; 0 0
+rho = 0.10000000000000001 0.001
+steer_tol = 1e-08
+max_outer = 11
+"""
+
+EXPLICIT_NORMAL = """\
+[model]
+rule = explicit
+values = 1 4.5
+
+[problem]
+alpha = 0.59999999999999998
+horizon = 2.5
+coupling_weights = 0.20000000000000001 -0.10000000000000001
+coupling_times = 0.5 1.25
+kappa = 2
+forcing = 0.29999999999999999 0.29999999999999999
+nonlinearity = gains
+gains = -1 -0.5
+
+[grid]
+n_steps = 48
+
+[solver]
+tol = 1.0000000000000001e-09
+max_iter = 77
+verify_equation_tol = 0.0050000000000000001
+verify_pinning_tol = 0.002
+
+[experiment]
+targets = 0.10000000000000001 0.20000000000000001 ; 0 0
+rho = 0.10000000000000001 0.001
+steer_tol = 1e-08
 max_outer = 11
 """
 
@@ -216,3 +287,36 @@ def test_builders():
 def test_syntax_error_wrapped():
     with pytest.raises(ConfigError, match="syntax"):
         parse_config("n_steps = 64\n")
+
+
+def test_normal_form_text_is_pinned():
+    assert normalize_config(parse_config(FULL)) == FULL_NORMAL
+    # under rule = explicit the values list stands in for n_modes
+    assert normalize_config(parse_config(EXPLICIT)) == EXPLICIT_NORMAL
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("solver", "tol"),
+        ("solver", "verify_equation_tol"),
+        ("solver", "verify_pinning_tol"),
+        ("experiment", "steer_tol"),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_tolerances_must_be_positive_and_finite(section, key, value):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*positive finite"):
+        parse_config(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
+
+
+def test_docstring_grammar_lists_exactly_the_config_keys():
+    pairs, section = [], None
+    for line in config.__doc__.splitlines():
+        head = re.match(r"    \[(\w+)\]", line)
+        if head:
+            section = head.group(1)
+        entry = re.match(r"    (\w+) = ", line)
+        if entry:
+            pairs.append((section, entry.group(1)))
+    assert pairs == [(section, key) for section, key, *_ in config._KEYS]

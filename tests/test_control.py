@@ -397,6 +397,31 @@ def test_reachability_rejects_bad_cells_before_any_work():
     assert reachability_experiment(prob, grid, [], [1e-3]).rows == ()
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_steer_rejects_bad_tol_before_setup(monkeypatch, tol):
+    from fracevol import control
+
+    def no_setup(problem, grid):
+        raise AssertionError("steering setup built for a bad tol")
+
+    monkeypatch.setattr(control, "_steering_setup", no_setup)
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        steer(demo_problem(n_modes=2), TimeGrid(1.0, 32), np.zeros(2), 1e-3, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_reachability_rejects_bad_tol_before_setup(monkeypatch, tol):
+    from fracevol import control
+
+    def no_setup(problem, grid):
+        raise AssertionError("steering setup built for a bad tol")
+
+    monkeypatch.setattr(control, "_steering_setup", no_setup)
+    prob, grid = demo_problem(n_modes=2), TimeGrid(1.0, 32)
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        reachability_experiment(prob, grid, [np.zeros(2)], [1e-3], tol=tol)
+
+
 def test_public_steering_functionals_equal_the_shared_assembly():
     from fracevol.control import _steering_setup
     from fracevol.greens import endpoint_response_rows
@@ -599,6 +624,21 @@ def test_regularized_map_validates_n():
     mu = SampledFn(grid, np.zeros((33, 1)))
     with pytest.raises(DomainError):
         regularized_W(prob, mu, 0)
+
+
+def test_regularized_map_and_apply_K_check_forcing_columns():
+    # one forcing column per mode, as solution_map_W demands: a single
+    # column is not broadcast to every mode, and too many are a DomainError
+    prob = demo_problem(n_modes=3)
+    grid = TimeGrid(1.0, 32)
+    for n_cols in (1, 5):
+        mu = SampledFn(grid, np.ones((33, n_cols)))
+        with pytest.raises(DomainError, match="values must be"):
+            solution_map_W(prob, mu)
+        with pytest.raises(DomainError, match="values must be"):
+            regularized_W(prob, mu, 4)
+        with pytest.raises(DomainError, match="values must be"):
+            apply_K(prob, mu)
 
 
 # -------------------------------------------------------------- norm probes

@@ -269,6 +269,15 @@ def test_solve_validates_grid_and_signal():
         solve_mild(prob, grid, damping=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_solve_rejects_bad_tol_before_iterating(tol):
+    # a nan tol is never met and an inf tol is met by the first update
+    prob = demo_problem(n_modes=2)
+    grid = TimeGrid(1.0, 32)
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        solve_mild(prob, grid, SampledFn(grid, 0.5 * np.ones((33, 2))), tol=tol)
+
+
 # --------------------------------------------------------------- verify_mild
 
 

@@ -29,11 +29,8 @@ from .greens import (
     Trajectory,
     _check_tol,
     _eval_source,
-    _fixed_point,
     _forcing_base,
-    _pinning_gap,
     _ratio,
-    _transient_run,
     solve_mild,
 )
 
@@ -143,33 +140,14 @@ def regularized_W(
 
     The identity share (1/n) N u bypasses the response quadrature, so the
     output only satisfies the pinning identity up to O(1/n); the report's
-    nonlocal_residual states the honest interpolated gap.
+    nonlocal_residual states the honest interpolated gap.  Runs solve_mild's
+    Picard solve (ResponseAssembly._picard) with that share in each step.
     """
     if int(n) != n or n < 1:
         raise DomainError("n must be a positive integer")
-    n = int(n)
-    grid = mu.grid
-    mu_vals = _forcing_base(problem, grid, None, mu)
-    asm = ResponseAssembly(problem, grid)
-
-    def step(u: np.ndarray) -> np.ndarray:
-        source = _eval_source(problem, grid.nodes, u)
-        return asm.response(source + mu_vals) + source / n
-
-    shape = (grid.n_steps + 1, problem.n_modes)
-    what = "regularized iteration"
-    run_limit = _transient_run(problem, max_iter, identity_share=1.0 / n)
-    u, diffs = _fixed_point(
-        step, shape, tol=tol, max_iter=max_iter, run_limit=run_limit, what=what
-    )
-    report = SolveReport(
-        iterations=len(diffs),
-        final_residual=diffs[-1],
-        nonlocal_residual=_pinning_gap(problem, u, grid),
-        contraction_estimate=_ratio(diffs, 0.0),
-        control_sup=float(np.max(np.sqrt(np.sum(mu_vals ** 2, axis=1)))),
-    )
-    return Trajectory(grid, u), report
+    base = _forcing_base(problem, mu.grid, None, mu)
+    asm = ResponseAssembly(problem, mu.grid)
+    return asm._picard(base, tol=tol, max_iter=max_iter, n=int(n))
 
 
 def _steering_setup(problem: ProblemSpec, grid: TimeGrid):
@@ -344,11 +322,12 @@ def operator_norm_estimate(
 ) -> float:
     """Lower estimate of sup ||K mu||_sup / ||mu||_L2 over random probes."""
     rng = np.random.default_rng(seed)
+    asm = ResponseAssembly(problem, grid)
     best = 0.0
     for _ in range(n_probes):
         vals = rng.standard_normal((grid.n_steps + 1, problem.n_modes))
         denom = signal_l2_norm(grid, vals)
-        traj = apply_K(problem, SampledFn(grid, vals))
+        traj = Trajectory(grid, asm.response(vals))
         best = max(best, trajectory_sup_norm(traj) / denom)
     return best
 
@@ -367,10 +346,10 @@ def w_growth_fit(
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal((grid.n_steps + 1, problem.n_modes))
     direction /= signal_l2_norm(grid, direction)
+    asm = ResponseAssembly(problem, grid)
     xs, ys = [], []
     for s in scales:
-        mu = SampledFn(grid, s * direction)
-        traj, _ = solution_map_W(problem, mu)
+        traj, _ = asm.solve(raw_forcing=SampledFn(grid, s * direction))
         xs.append(s)
         ys.append(trajectory_sup_norm(traj))
     xs_a, ys_a = np.asarray(xs), np.asarray(ys)

@@ -274,31 +274,28 @@ def _ratio(diffs: list[float], default: float) -> float:
     return diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0.0 else default
 
 
-def _transient_run(
-    problem: ProblemSpec, max_iter: int, *, damping: float = 1.0, identity_share: float = 0.0
-) -> int:
+def _transient_run(problem: ProblemSpec, max_iter: int, *, identity_share: float = 0.0) -> int:
     """Consecutive growing updates after which a Picard run counts as diverging.
 
     Every response kernel is at most t**(alpha - 1) / Gamma(alpha), so for
-    the step u <- (1 - damping) u + damping (R + identity_share) f(u), R the
-    response integral without its pinning correction and f L-Lipschitz,
-    the n-th update is at most the first one's sup times
+    the step u <- (R + identity_share) f(u), R the response integral
+    without its pinning correction and f L-Lipschitz, the n-th update is
+    at most the first one's sup times
 
         B_n = sum_j C(n, j) a**(n - j) b**j / Gamma(j alpha + 1),
-        a = 1 - damping + damping L identity_share,
-        b = damping L horizon**alpha.
+        a = L identity_share,  b = L horizon**alpha.
 
     For a < 1 the bound grows for a transient and then collapses, so the
     updates of this part always converge in the end; they may grow for
     about as long as the bound does (about (L horizon**alpha)**(1/alpha)
-    / alpha updates when damping is 1 and identity_share 0).  Returns
-    that transient plus _DIVERGENCE_MARGIN, or max_iter when B_n never
-    collapses.  The pinning correction is left out of the bound: for a
-    pinned problem a longer run is taken as divergence, not proved one.
+    / alpha updates when identity_share is 0).  Returns that transient
+    plus _DIVERGENCE_MARGIN, or max_iter when B_n never collapses.  The
+    pinning correction is left out of the bound: for a pinned problem a
+    longer run is taken as divergence, not proved one.
     """
     lip = 0.0 if problem.nonlinearity is None else problem.nonlinearity.lipschitz_bound
-    a = 1.0 - damping + damping * lip * identity_share
-    b = damping * lip * problem.horizon ** problem.alpha
+    a = lip * identity_share
+    b = lip * problem.horizon ** problem.alpha
     if a >= 1.0:
         return max_iter
     log_a = math.log(a) if a > 0.0 else -math.inf
@@ -336,8 +333,6 @@ def _fixed_point(
     tol: float,
     max_iter: int,
     run_limit: int,
-    damping: float = 1.0,
-    what: str = "Picard iteration",
 ) -> tuple[np.ndarray, list[float]]:
     """Iterate u <- step(u) from zero until the sup-norm update is <= tol.
 
@@ -345,19 +340,19 @@ def _fixed_point(
     ConvergenceError with both when max_iter updates do not get there,
     and fails fast when the iteration diverges: on a non-finite iterate,
     or after run_limit consecutive growing updates (see _transient_run).
+    A DomainError from the step comes back prefixed with its iteration.
     """
-    if not (0.0 < damping <= 1.0):
-        raise DomainError("damping must lie in (0, 1]")
     if max_iter < 1:
         raise DomainError("max_iter must be positive")
     _check_tol(tol)
     u = np.zeros(shape)
     diffs: list[float] = []
     growing = 0
-    for _ in range(max_iter):
-        u_next = step(u)
-        if damping != 1.0:
-            u_next = (1.0 - damping) * u + damping * u_next
+    for k in range(1, max_iter + 1):
+        try:
+            u_next = step(u)
+        except DomainError as exc:
+            raise DomainError(f"Picard iteration {k}: {exc}") from exc
         diff = float(np.max(np.abs(u_next - u)))
         growing = growing + 1 if diffs and diff > diffs[-1] else 0
         diffs.append(diff)
@@ -365,13 +360,13 @@ def _fixed_point(
         if diff <= tol:
             return u, diffs
         if not math.isfinite(diff):
-            message = f"{what} diverged to a non-finite iterate"
+            message = "Picard iteration diverged to a non-finite iterate"
             break
         if growing >= run_limit:
-            message = f"{what} diverged: {growing} consecutive growing updates"
+            message = f"Picard iteration diverged: {growing} consecutive growing updates"
             break
     else:
-        message = f"{what} did not reach tolerance"
+        message = "Picard iteration did not reach tolerance"
     raise ConvergenceError(
         message,
         iterations=len(diffs),
@@ -387,9 +382,9 @@ class ResponseAssembly:
     Holds the per-mode inverse factors, decay samples, the product
     quadrature over the (nodes x modes) convolution lag table, and the
     quadrature rows at the pinning times.
-    Build it once per (problem, grid): solve runs the Picard iteration on
-    it and endpoint_rows gives the steering functionals under exactly the
-    same discretization.
+    Build it once per (problem, grid): its _picard runs every Picard solve
+    (solve_mild, control.regularized_W) and endpoint_rows gives the
+    steering functionals under exactly the same discretization.
     """
 
     def __init__(self, problem: ProblemSpec, grid: TimeGrid):
@@ -410,10 +405,6 @@ class ResponseAssembly:
             self.pin_rows[k] = _kernel_rows(problem, grid, float(tk))
         self.decay_at_pins = ml_table(lams, alpha, 1.0, problem.coupling.times)
 
-    def convolve_all(self, forcing: np.ndarray) -> np.ndarray:
-        """Response integral at every node; forcing is (n_nodes, n_modes)."""
-        return self._quadrature(forcing)
-
     def pin_responses(self, forcing: np.ndarray) -> np.ndarray:
         """Response integral at each pinning time; result is (n_points, n_modes)."""
         return np.einsum("kmi,im->km", self.pin_rows, forcing)
@@ -425,7 +416,7 @@ class ResponseAssembly:
     def response(self, forcing: np.ndarray) -> np.ndarray:
         """States of the linear problem driven by the sampled forcing."""
         u0 = self.initial_state(forcing)
-        return self.decay_nodes * u0[None, :] + self.convolve_all(forcing)
+        return self.decay_nodes * u0[None, :] + self._quadrature(forcing)
 
     def endpoint_rows(self) -> np.ndarray:
         """Per-mode weight rows of the forcing-to-endpoint map, gains excluded.
@@ -448,36 +439,51 @@ class ResponseAssembly:
         raw_forcing: SampledFn | None = None,
         tol: float = SOLVE_TOL_DEFAULT,
         max_iter: int = SOLVE_MAX_ITER_DEFAULT,
-        damping: float = 1.0,
     ) -> tuple[Trajectory, SolveReport]:
         """solve_mild on this assembly's (problem, grid)."""
+        base = _forcing_base(self.problem, self.grid, control, raw_forcing)
+        return self._picard(base, tol=tol, max_iter=max_iter)
+
+    def _picard(
+        self, base: np.ndarray, *, tol: float, max_iter: int, n: int | None = None
+    ) -> tuple[Trajectory, SolveReport]:
+        """Every Picard solve: u <- response(base + f(u)), plus f(u) / n when n is set.
+
+        base is the sampled forcing.  Without n this is solve_mild, whose
+        pinning gap is taken under the solver's quadrature; with n it is
+        control.regularized_W, whose gap is interpolated (_pinning_gap).
+        """
         problem, grid = self.problem, self.grid
-        base = _forcing_base(problem, grid, control, raw_forcing)
-        control_sup = float(np.max(np.sqrt(np.sum(base * base, axis=1)))) if base.size else 0.0
         forcing = base
 
         def step(u: np.ndarray) -> np.ndarray:
             nonlocal forcing
-            forcing = base + _eval_source(problem, grid.nodes, u)
-            return self.response(forcing)
+            source = _eval_source(problem, grid.nodes, u)
+            forcing = base + source
+            response = self.response(forcing)
+            return response if n is None else response + source / n
 
+        identity_share = 0.0 if n is None else 1.0 / n
         u, diffs = _fixed_point(
             step,
             base.shape,
             tol=tol,
             max_iter=max_iter,
-            run_limit=_transient_run(problem, max_iter, damping=damping),
-            damping=damping,
+            run_limit=_transient_run(problem, max_iter, identity_share=identity_share),
         )
-        # final consistency of the pinning identity, under the same quadrature
-        pins = self.pin_responses(forcing)
-        u0 = self.initial_state(forcing)
-        state_at_pins = self.decay_at_pins * u0[None, :] + pins
-        gap = u0 - problem.coupling.weights @ state_at_pins
+        if n is None:
+            # final consistency of the pinning identity, under the same quadrature
+            pins = self.pin_responses(forcing)
+            u0 = self.o * (problem.coupling.weights @ pins)
+            gap = u0 - problem.coupling.weights @ (self.decay_at_pins * u0[None, :] + pins)
+            nonlocal_residual = float(np.sqrt(np.sum(gap * gap)))
+        else:
+            nonlocal_residual = _pinning_gap(problem, u, grid)
+        control_sup = float(np.max(np.sqrt(np.sum(base * base, axis=1)))) if base.size else 0.0
         report = SolveReport(
             iterations=len(diffs),
             final_residual=diffs[-1],
-            nonlocal_residual=float(np.sqrt(np.sum(gap * gap))),
+            nonlocal_residual=nonlocal_residual,
             contraction_estimate=_ratio(diffs, 0.0),
             control_sup=control_sup,
         )
@@ -526,19 +532,19 @@ def solve_mild(
     raw_forcing: SampledFn | None = None,
     tol: float = SOLVE_TOL_DEFAULT,
     max_iter: int = SOLVE_MAX_ITER_DEFAULT,
-    damping: float = 1.0,
 ) -> tuple[Trajectory, SolveReport]:
     """Picard iteration for the mild formulation, from the zero trajectory.
 
     control enters through the per-mode gains; raw_forcing is added as-is
     (the control module uses it to probe the solution map with arbitrary
     forcing).  Stops when the sup-norm update falls to tol; raises
-    ConvergenceError carrying the observed contraction ratio otherwise.
-    To solve repeatedly on one grid, build a ResponseAssembly once and
-    call its solve.
+    ConvergenceError carrying the observed contraction ratio otherwise,
+    and DomainError naming the Picard iteration, node and time where the
+    source turned non-finite.  To solve repeatedly on one grid, build a
+    ResponseAssembly once and call its solve.
     """
     return ResponseAssembly(problem, grid).solve(
-        control, raw_forcing=raw_forcing, tol=tol, max_iter=max_iter, damping=damping
+        control, raw_forcing=raw_forcing, tol=tol, max_iter=max_iter
     )
 
 

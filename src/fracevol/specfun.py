@@ -17,8 +17,12 @@ point's value does not depend on the other points in the batch:
   band of moderately negative z: a tanh-sinh rule on [0, |z|] plus an
   exp-sinh rule on [|z|, inf), with step h compared against step 2h on
   the nested nodes as each point's error estimate (gate
-  ``ML_ASYMP_ACCEPT``).  A point whose estimate misses the gate falls
-  back to adaptive quadrature (scipy's ``quad``, imported only then).
+  ``ML_ASYMP_ACCEPT``).  A point whose estimate misses the gate and
+  whose series peak |z|**(1/alpha) is at most ``_SERIES_CANCEL_LIMIT``
+  is summed in extended precision (below; 45 digits at most), since
+  ``quad`` misses those too when alpha is near 1 and beta is neither 1
+  nor alpha; any other miss falls back to adaptive quadrature (scipy's
+  ``quad``, imported only then).
 
 For alpha > 1 the branch-cut route is unavailable (the integrand picks up
 a non-integrable ridge), so the rare deep-cancellation corner there is
@@ -340,7 +344,7 @@ def _branch_cut_quad(alpha: float, b: float, z: float) -> float:
 
 
 def _extended_precision_series(alpha: float, beta: float, z: float) -> float:
-    # last resort for alpha >= 1 - _NEAR_ONE, z < 0, cancellation beyond float64
+    # last resort for z < 0 with cancellation beyond float64 (see _evaluate)
     import mpmath as mp
 
     peak = abs(z) ** (1.0 / alpha)
@@ -409,10 +413,15 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     # the last float64 route answers to the tighter of the two gates;
     # |S_h - S_2h| measures the coarser rule's error, so it also errs on
     # the safe side for the finer one
-    for i in np.flatnonzero(~(est <= ML_ASYMP_ACCEPT)):
+    missed = np.flatnonzero(~(est <= ML_ASYMP_ACCEPT))
+    summed = np.abs(zr[missed]) ** (1.0 / alpha) <= _SERIES_CANCEL_LIMIT
+    for i in missed[~summed]:
         value[i] = _branch_cut_quad(alpha, b, float(zr[i]))
     for bb in reversed(shifts):
         value = (value - _rgamma(bb)) / zr
+    # a missed point of mild cancellation: at most 45 digits, with beta itself
+    for i in missed[summed]:
+        value[i] = _extended_precision_series(alpha, beta, float(zr[i]))
     out[rest] = value
     return out
 

@@ -1,5 +1,6 @@
 """Tests for Gramian steering and the regularized solution map."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -616,6 +617,50 @@ def test_regularized_map_converges_to_plain_map():
     plain, _ = solution_map_W(prob, mu, tol=1e-12)
     huge_n, _ = regularized_W(prob, mu, 10 ** 6, tol=1e-12)
     assert np.max(np.abs(plain.states - huge_n.states)) <= 1e-6
+
+
+# sha256 of the states' bytes, then iterations, final_residual,
+# nonlocal_residual, contraction_estimate and control_sup, taken from the
+# separate Picard loop regularized_W ran before it shared solve_mild's
+# (they are float64 bits, so another BLAS or FFT build may move them)
+GOLDEN_SOLVES = {
+    3: (
+        "d1c7a8e4c3f1e3f9789cd1b8741e864ab0e3e392706468157b4d8226c3bcc517",
+        35, 8.419428931816242e-09, 0.016201436774398306, 0.6008961049323567,
+        0.8660254037844386,
+    ),
+    10 ** 6: (
+        "677c2d082190b9eb6abb1f5f30128bf451d33908e40887e930620f203b6f3318",
+        17, 4.851370527525489e-09, 9.739894742154651e-05, 0.31636783284745984,
+        0.8660254037844386,
+    ),
+    None: (
+        "07e044afbacbd9735593c0c91f6e44a1a6f7ec8281e163cfd7b0d47e4faf895a",
+        17, 4.8511648587101774e-09, 8.326744964519793e-16, 0.3163669211331283,
+        0.8660254037844386,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [3, 10 ** 6, None])
+def test_picard_solves_keep_their_golden_bits(n):
+    # n is not a power of two, so source / n must stay a division; None is
+    # solve_mild on the same pinned problem with the sine source
+    grid = TimeGrid(1.0, 64)
+    mu = SampledFn(grid, 0.5 * np.cos(np.outer(grid.nodes, [1.0, 2.0, 3.0])))
+    if n is None:
+        traj, rep = solve_mild(demo_problem(n_modes=3), grid, mu)
+    else:
+        traj, rep = regularized_W(demo_problem(n_modes=3), mu, n)
+    got = (
+        hashlib.sha256(traj.states.tobytes()).hexdigest(),
+        rep.iterations,
+        rep.final_residual,
+        rep.nonlocal_residual,
+        rep.contraction_estimate,
+        rep.control_sup,
+    )
+    assert got == GOLDEN_SOLVES[n]
 
 
 def test_regularized_map_validates_n():

@@ -275,6 +275,36 @@ def test_ml_near_alpha_one_against_oracle(alpha):
         assert got == pytest.approx(ref, rel=constants.ML_REL_TOL)
 
 
+@pytest.mark.parametrize("alpha", [0.995, 0.999, 0.9995, 0.9998, 0.99989])
+def test_ml_near_alpha_one_other_betas_against_oracle(alpha):
+    # just outside the band, for beta neither 1 nor alpha, the branch-cut
+    # rule misses its gate at small |z| and adaptive quadrature misses the
+    # ridge as well; such points are summed in extended precision
+    z = -np.geomspace(0.3, 50.0, 40)
+    for beta in (0.35, 0.5, 0.75, 1.25, 1.5):
+        got = mittag_leffler_array(alpha, beta, z)
+        ref = [oracles.ml_oracle(alpha, beta, float(q)) for q in z]
+        assert got == pytest.approx(ref, rel=constants.ML_REL_TOL, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,z",
+    [
+        (0.9998, 0.35, -0.5024),
+        (0.99989, 0.75, -1.8612),
+        (0.9998, 0.75, -1.8612),
+        (0.9995, 0.75, -1.861),
+        (0.999, 0.35, -0.5024),
+    ],
+)
+def test_ml_branch_cut_misses_near_alpha_one_against_oracle(alpha, beta, z):
+    got = mittag_leffler(alpha, beta, z)
+    # relative error only: some of these values are small enough that the
+    # default absolute floor would pass a relative error of 1e-9
+    ref = oracles.ml_oracle(alpha, beta, z)
+    assert got == pytest.approx(ref, rel=constants.ML_REL_TOL, abs=0.0)
+
+
 def test_ml_beta_just_below_one_plus_alpha_against_oracle():
     # chi**((1 - b)/alpha) with b a hair below 1 + alpha is barely integrable
     # at 0; the shift reduction must take over before the rule loses mass

@@ -25,7 +25,7 @@ import numpy as np
 from .constants import NEUMANN_TRUNC_TOL, SOLVE_MAX_ITER_DEFAULT, SOLVE_TOL_DEFAULT
 from .errors import AdmissibilityError, ConvergenceError, DomainError
 from .fraccalc import ProductQuadrature, SampledFn, TimeGrid, singular_kernel_weights
-from .spectral import SpectralModel, decay_factors, kernel_factors, ml_table
+from .spectral import SpectralModel, decay_factors, ml_table
 
 __all__ = [
     "NonlocalSpec",
@@ -50,6 +50,8 @@ __all__ = [
 # growing updates allowed past the transient of _transient_run's bound
 # before _fixed_point stops as diverging
 _DIVERGENCE_MARGIN = 10
+# half-width over max(1, horizon) of green_apply's singular set {t} union {t_k}
+_SINGULAR_TOL = 1e-13
 # rows per matrix product of sine_collocation_source; a fixed height keeps
 # every row's bits independent of how many rows come in one call
 _SOURCE_BLOCK = 64
@@ -238,10 +240,10 @@ def build_O(model: SpectralModel, alpha: float, coupling: NonlocalSpec) -> np.nd
     return out
 
 
-def _kernel_rows(problem: ProblemSpec, grid: TimeGrid, t: float) -> np.ndarray:
-    """singular_kernel_weights at t for every mode, one row per mode."""
+def _kernel_rows(problem: ProblemSpec, grid: TimeGrid, t: float, kernel=None) -> np.ndarray:
+    """singular_kernel_weights of kernel (ml_table by default) at t, one row per mode."""
     lams, alpha = problem.model.lambdas, problem.alpha
-    kernel = partial(ml_table, lams, alpha, alpha)  # lags -> (lags, modes) table
+    kernel = kernel or partial(ml_table, lams, alpha, alpha)
     # C order: a sum along a row (the Gramian's) then adds in the same
     # order as on a row built for one mode alone
     return np.ascontiguousarray(singular_kernel_weights(alpha, kernel, grid, t).T)
@@ -260,9 +262,8 @@ def _eval_source(problem: ProblemSpec, times: np.ndarray, states: np.ndarray) ->
             f"source produced shape {out.shape} instead of {states.shape}, "
             f"starting at node 0, time t = {float(times[0])!r}"
         )
-    bad = ~np.all(np.isfinite(out), axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if not np.isfinite(out).all():
+        i = int(np.argmax(~np.all(np.isfinite(out), axis=1)))
         raise DomainError(
             f"source produced a non-finite value at node {i}, time t = {float(times[i])!r}"
         )
@@ -397,7 +398,8 @@ class ResponseAssembly:
         lams, alpha = problem.model.lambdas, problem.alpha
         self.decay_nodes = ml_table(lams, alpha, 1.0, grid.nodes)
         lags = np.arange(grid.n_steps + 1) * grid.delta
-        self._quadrature = ProductQuadrature(alpha, grid, ml_table(lams, alpha, alpha, lags))
+        self._lag_table = ml_table(lams, alpha, alpha, lags)
+        self._quadrature = ProductQuadrature(alpha, grid, self._lag_table)
         # weight rows turning sampled forcing into the response integral at
         # each pinning time; pinning times may sit strictly between nodes
         self.pin_rows = np.empty((problem.coupling.n_points, n_modes, grid.n_steps + 1))
@@ -424,13 +426,23 @@ class ResponseAssembly:
         Row m dotted with sampled mode-m forcing gives mode m of the state
         at the horizon, under exactly the discretization solve uses.  The
         rows are the discrete samples of the endpoint kernel of the
-        combined response (direct part plus pinning corrections).
+        combined response (direct part plus pinning corrections); the direct
+        part reads its kernel at the lags k * delta from the lag table.
         """
-        rows = _kernel_rows(self.problem, self.grid, self.grid.horizon)
+        rows = _kernel_rows(self.problem, self.grid, self.grid.horizon, self._lag_kernel)
         pin_part = np.zeros_like(rows)
         for ck, pin_rows in zip(self.problem.coupling.weights, self.pin_rows):
             pin_part += ck * pin_rows
         return (self.decay_nodes[-1] * self.o)[:, None] * pin_part + rows
+
+    def _lag_kernel(self, lags: np.ndarray) -> np.ndarray:
+        """Lag-table rows at lags in [0, n delta]; a lag off k * delta goes to ml_table."""
+        k = np.rint(lags / self.grid.delta).astype(int)
+        table, miss = self._lag_table[k], k * self.grid.delta != lags
+        if miss.any():
+            lams, alpha = self.problem.model.lambdas, self.problem.alpha
+            table[miss] = ml_table(lams, alpha, alpha, lags[miss])
+        return table
 
     def solve(
         self,
@@ -605,6 +617,25 @@ def verify_mild(
     )
 
 
+def _green_values(problem: ProblemSpec, t: np.ndarray, s: np.ndarray, w: np.ndarray):
+    """G(t_i, s_i) w_i off the singular set from one table per beta, in kernel_factors' bits."""
+    lams, alpha, coupling = problem.model.lambdas, problem.alpha, problem.coupling
+    o = build_O(problem.model, alpha, coupling)
+    # lags t_k - s (pin by pin), then t - s, of the samples before each end
+    ends = list(coupling.times) + [t]
+    before = [s < end for end in ends]
+    lags = np.concatenate([(end - s)[m] for end, m in zip(ends, before)])
+    powers = np.array([lag ** (alpha - 1.0) for lag in lags.tolist()])
+    kern = powers[:, None] * ml_table(lams, alpha, alpha, lags)
+    parts = np.split(kern, np.cumsum([m.sum() for m in before])[:-1])
+    decay = ml_table(lams, alpha, 1.0, t)
+    out = np.zeros(w.shape)
+    for ck, m, part in zip(coupling.weights, before, parts):
+        out[m] += ck * decay[m] * o * (part * w[m])
+    out[before[-1]] += parts[-1] * w[before[-1]]
+    return out
+
+
 def green_apply(
     problem: ProblemSpec, t: float, s: float, w: np.ndarray
 ) -> np.ndarray:
@@ -620,23 +651,14 @@ def green_apply(
     w = np.asarray(w, dtype=float)
     if w.shape != (problem.n_modes,):
         raise DomainError("w must be a mode vector")
-    tol = 1e-13 * max(1.0, horizon)
+    tol = _SINGULAR_TOL * max(1.0, horizon)
     if abs(t - s) <= tol:
         raise DomainError("kernel is singular on the diagonal s = t")
     for tk in problem.coupling.times:
         if abs(s - tk) <= tol:
             raise DomainError(f"kernel is singular at the pinning time s = {tk}")
-    o = build_O(problem.model, problem.alpha, problem.coupling)
-    out = np.zeros(problem.n_modes)
-    for ck, tk in zip(problem.coupling.weights, problem.coupling.times):
-        if s < tk:
-            correction = kernel_factors(problem.model, problem.alpha, float(tk - s))
-            out += ck * decay_factors(problem.model, problem.alpha, float(t)) * o * (
-                correction * w
-            )
-    if s < t:
-        out += kernel_factors(problem.model, problem.alpha, float(t - s)) * w
-    return out
+    one = np.array([t, s], dtype=float)[:, None]
+    return _green_values(problem, one[0], one[1], w[None])[0]
 
 
 def green_weighted_sup(
@@ -649,19 +671,16 @@ def green_weighted_sup(
     (t_k - s)**(alpha - 1) growth, which this weight does not cancel, so
     the reported sup documents the sampled grid only.
     """
-    a = problem.horizon
-    ones = np.ones(problem.n_modes)
-    best = 0.0
-    for i in range(n_t):
-        t = a * (i + 0.61803398875) / n_t
-        for j in range(n_s):
-            s = t * (j + 0.38196601125) / n_s
-            try:
-                g = green_apply(problem, t, s, ones)
-            except DomainError:
-                continue
-            best = max(best, (t - s) ** (1.0 - problem.alpha) * float(np.max(np.abs(g))))
-    return best
+    a, times = problem.horizon, problem.coupling.times
+    t = np.repeat(a * (np.arange(n_t) + 0.61803398875) / n_t, n_s)
+    s = t * np.tile(np.arange(n_s) + 0.38196601125, n_t) / n_s
+    # skip what green_apply rejects: s on the diagonal or at a pinning time
+    tol = _SINGULAR_TOL * max(1.0, a)
+    keep = (np.abs(t - s) > tol) & np.all(np.abs(s[:, None] - times) > tol, axis=1)
+    t, s = t[keep], s[keep]
+    g = _green_values(problem, t, s, np.ones((t.size, problem.n_modes)))
+    weights = np.array([d ** (1.0 - problem.alpha) for d in (t - s).tolist()])
+    return float(np.max(weights * np.max(np.abs(g), axis=1), initial=0.0))
 
 
 def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity:

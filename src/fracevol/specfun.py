@@ -2,39 +2,39 @@
 
 Everything downstream reduces to ml(alpha, beta, z) for real z.  One
 evaluator, ``mittag_leffler_array``, takes an array of arguments for one
-(alpha, beta) and sends each point down the first route whose own error
-estimate clears that route's internal gate.  Routes and gates act point
-by point as boolean masks; each matrix route builds one row per point,
-in blocks of about a megabyte, and sums every row on its own, so a
-point's value does not depend on the other points in the batch:
+(alpha, beta) and tries on each point only the routes that can serve it;
+the first whose own error estimate clears its gate answers.  Routes and
+gates act point by point as boolean masks; each matrix route builds one
+row per point, in blocks of about a megabyte, and sums every row on its
+own, so a point's value does not depend on the other points in the batch.
+Exact closed forms serve (alpha, beta) in {1, 2} x {1, 2}, the power
+series (a term matrix) nonnegative z.  For z < 0 and 0 < alpha < 1 - 1e-4
+the series peak X = |z|**(1/alpha) splits the axis into two bands:
 
-* exact closed forms at (alpha, beta) in {1, 2} x {1, 2};
-* the defining power series as a term matrix, for nonnegative z and for
-  negative z with limited cancellation (gate ``ML_TAYLOR_ACCEPT``);
-* the tail expansion in powers of 1/z, each row truncated at its own
-  smallest term, for large negative z (gate ``ML_ASYMP_ACCEPT``);
-* a branch-cut integral (collapsed Hankel contour) for the remaining
-  band of moderately negative z: a tanh-sinh rule on [0, |z|] plus an
-  exp-sinh rule on [|z|, inf), with step h compared against step 2h on
-  the nested nodes as each point's error estimate (gate
-  ``ML_ASYMP_ACCEPT``).  A point whose estimate misses the gate and
-  whose series peak |z|**(1/alpha) is at most ``_SERIES_CANCEL_LIMIT``
-  is summed in extended precision (below; 45 digits at most), since
-  ``quad`` misses those too when alpha is near 1 and beta is neither 1
-  nor alpha; any other miss falls back to adaptive quadrature (scipy's
-  ``quad``, imported only then).
+* X <= ``_SERIES_CANCEL_LIMIT`` (34): the series (gate
+  ``ML_TAYLOR_ACCEPT``), then the branch cut, then the series summed in
+  extended precision (below; 45 digits at most), since ``quad`` misses
+  these too when alpha is near 1 and beta is neither 1 nor alpha;
+* X > 34: the tail expansion in powers of 1/z, each row truncated at its
+  own smallest term (gate ``ML_ASYMP_ACCEPT``), then the branch cut, then
+  adaptive quadrature (scipy's ``quad``, imported only then).
+
+The branch cut (collapsed Hankel contour, Gorenflo, Loutchko & Luchko) is
+a tanh-sinh rule on [0, |z|] plus an exp-sinh rule on [|z|, inf); step h
+against step 2h on the nested nodes is its error estimate (gate
+``ML_ASYMP_ACCEPT``).
 
 For alpha > 1 the branch-cut route is unavailable (the integrand picks up
-a non-integrable ridge), so the rare deep-cancellation corner there is
-summed in extended precision (mpmath, imported only then) instead.  The
-same sum serves alpha within 1e-4 below 1, where the branch-cut integrand
-has a ridge of width pi (1 - alpha) at chi = |z| that neither quadrature
-resolves (at alpha = 0.99999 both miss it, at 0.99995 both still get it).
-Within 1e-4 of alpha = 1 on either side, the tail expansion's gate also
-counts the contribution of the poles s**alpha = z next to the negative
-axis, which its truncation estimate cannot see; relative to the value it
-grows like 1 / |1 - alpha|, and outside the band it stays below
-ML_REL_TOL.
+a non-integrable ridge), so a negative point tries the series (X <= 34),
+then the tail expansion, then extended precision (mpmath, imported only
+then).  The same chain serves alpha within 1e-4 below 1, where the
+branch-cut integrand has a ridge of width pi (1 - alpha) at chi = |z|
+that neither quadrature resolves (at alpha = 0.99999 both miss it, at
+0.99995 both still get it).  Within 1e-4 of alpha = 1 on either side,
+the tail expansion's gate also counts the contribution of the poles
+s**alpha = z next to the negative axis, which its truncation estimate
+cannot see; relative to the value it grows like 1 / |1 - alpha|, and
+outside the band it stays below ML_REL_TOL.
 ``mittag_leffler`` is the same evaluator on one point.
 
 Gamma, log Gamma and 1/Gamma come from the standard library's
@@ -387,19 +387,20 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     ok = np.zeros(rest.size, dtype=bool)
     ok[near] = est <= ML_TAYLOR_ACCEPT
     out[rest[ok]] = value[ok[near]]
-    rest = rest[~ok]
 
-    value, est = _tail_expansion(alpha, beta, z[rest])
+    # below the band around alpha = 1 only X > 34 tries the tail expansion
+    tail = ~ok if alpha >= 1.0 - _NEAR_ONE else ~near
+    value, est = _tail_expansion(alpha, beta, z[rest[tail]])
     if abs(alpha - 1.0) <= _NEAR_ONE:
         # the expansion drops the contribution of the poles s**alpha = z,
         # next to the negative axis here: 2 x**(1 - beta) exp(x cos(pi/alpha))
         # / alpha at most, x = |z|**(1/alpha), invisible to its truncation
         # estimate
-        x = (-z[rest]) ** (1.0 / alpha)
+        x = (-z[rest[tail]]) ** (1.0 / alpha)
         pole = 2.0 * x ** (1.0 - beta) * np.exp(x * math.cos(math.pi / alpha)) / alpha
         est = est + pole / np.abs(value)
-    ok = (est <= ML_ASYMP_ACCEPT) & (value != 0.0)
-    out[rest[ok]] = value[ok]
+    ok[tail] = (est <= ML_ASYMP_ACCEPT) & (value != 0.0)
+    out[rest[ok & tail]] = value[ok[tail]]
     rest = rest[~ok]
     if not rest.size:
         return out

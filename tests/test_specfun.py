@@ -313,6 +313,44 @@ def test_ml_beta_just_below_one_plus_alpha_against_oracle():
     assert got == pytest.approx(oracles.ml_oracle(alpha, beta, z), rel=constants.ML_REL_TOL)
 
 
+# the top order of a 56-order sweep np.linspace(0.01, 0.99989, 56): just
+# below the band around alpha = 1, so its negative axis splits at X = 34
+SWEEP_TOP_ALPHA = float(np.linspace(0.01, 0.99989, 56)[-1])
+SWEEP_Z = -np.geomspace(0.05, 200.0, 200)
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_ml_series_band_misses_go_to_the_branch_cut(beta):
+    # X = |z|**(1/alpha) <= 34 here and the series misses its gate; the
+    # tail expansion used to pass its own gate on these points while off
+    # by up to 4.25e-11, and the branch cut gets them to the oracle
+    z = SWEEP_Z[(np.abs(SWEEP_Z) >= 20.0) & (np.abs(SWEEP_Z) <= 26.0)]
+    got = mittag_leffler_array(SWEEP_TOP_ALPHA, beta, z)
+    ref = [oracles.ml_oracle(SWEEP_TOP_ALPHA, beta, float(q)) for q in z]
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_tail_expansion_serves_only_points_past_the_series_band(monkeypatch):
+    peaks = {}
+    tail = specfun._tail_expansion
+
+    def counted(alpha, beta, z):
+        peaks.setdefault(alpha, []).extend(np.abs(z) ** (1.0 / alpha))
+        return tail(alpha, beta, z)
+
+    monkeypatch.setattr(specfun, "_tail_expansion", counted)
+    below = (0.4, 0.6, 0.75, 0.95, SWEEP_TOP_ALPHA)
+    for alpha in below + (0.99995, 1.5):
+        for beta in (0.5, 1.0, alpha, 1.5, 2.0, 3.0):
+            mittag_leffler_array(alpha, beta, SWEEP_Z)
+    for alpha in below:
+        assert min(peaks[alpha]) > specfun._SERIES_CANCEL_LIMIT
+    # within 1e-4 of alpha = 1 and above 1 there is no branch cut: the
+    # series' misses still go to the tail expansion
+    for alpha in (0.99995, 1.5):
+        assert min(peaks[alpha]) <= specfun._SERIES_CANCEL_LIMIT
+
+
 # ------------------------------------------------ Gamma helpers against scipy
 
 _POSITIVE = np.concatenate([np.geomspace(1e-300, 1.0, 400), np.linspace(1.0, 171.0, 1701)])

@@ -5,16 +5,19 @@ evaluator, ``mittag_leffler_array``, takes an array of arguments for one
 (alpha, beta) and tries on each point only the routes that can serve it;
 the first whose own error estimate clears its gate answers.  Routes and
 gates act point by point as boolean masks; each matrix route builds one
-row per point, in blocks of about a megabyte, and sums every row on its
-own, so a point's value does not depend on the other points in the batch.
+row per point, in blocks of at most ``_BLOCK_ELEMS`` entries (128 KiB),
+and sums every row on its own, so a point's value does not depend on the
+other points in the batch, nor on the block size.
 Exact closed forms serve (alpha, beta) in {1, 2} x {1, 2}, the power
 series (a term matrix) nonnegative z.  For z < 0 and 0 < alpha < 1 - 1e-4
 the series peak X = |z|**(1/alpha) splits the axis into two bands:
 
 * X <= ``_SERIES_CANCEL_LIMIT`` (34): the series (gate
-  ``ML_TAYLOR_ACCEPT``), then the branch cut, then the series summed in
-  extended precision (below; 45 digits at most), since ``quad`` misses
-  these too when alpha is near 1 and beta is neither 1 nor alpha;
+  ``ML_TAYLOR_ACCEPT``; a row whose terms already prove it must miss that
+  gate stops early, see ``_series_doom``), then the branch cut, then the
+  series summed in extended precision (below; 45 digits at most), since
+  ``quad`` misses these too when alpha is near 1 and beta is neither 1
+  nor alpha;
 * X > 34: the tail expansion in powers of 1/z, each row truncated at its
   own smallest term (gate ``ML_ASYMP_ACCEPT``), then the branch cut, then
   adaptive quadrature (scipy's ``quad``, imported only then).
@@ -58,8 +61,14 @@ _EPS = 2.2e-16
 _SERIES_CANCEL_LIMIT = 34.0
 # exp overflows just above 709
 _EXP_OVERFLOW = 705.0
-# entries of one block of a term or node matrix: about 1 MB of float64
-_BLOCK_ELEMS = 1 << 17
+# entries of one block of a term or node matrix: 128 KiB of float64.
+# With 1 MB blocks (1 << 17), above glibc's 128 KiB mmap threshold, the
+# temporaries mapped, faulted in and unmapped fresh pages: about 12,000
+# minor faults and 10 MB of peak memory per `fracevol verify` of
+# demo_heat.ini, against about 700 faults and 3 MB here.  A sweep over
+# 1 << 12 .. 1 << 17 ran verify fastest at 1 << 13 and 1 << 14 (alike
+# within noise); smaller blocks pay more per-block overhead
+_BLOCK_ELEMS = 1 << 14
 # terms of the tail expansion before its truncation
 _TAIL_TERMS = 199
 # step of the finer double-exponential rule; the coarser takes every
@@ -140,40 +149,73 @@ def _closed_form(alpha: float, beta: float, z: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _series_doom(alpha: float, beta: float) -> float:
+    """Largest log-term with which a z < 0 series row can still pass.
+
+    A row of the series whose largest term exceeds exp of this bound gets
+    an estimate above ML_TAYLOR_ACCEPT whatever its other terms are, so
+    ``_series`` drops it.  The bound exists for 0 < alpha <= 1 and
+    beta >= alpha only; elsewhere it is inf and no row is dropped.
+
+    Derivation.  There E(-x) = E_{alpha,beta}(-x) is completely monotone
+    in x >= 0 (W. R. Schneider, Expo. Math. 14, 1996), so
+    0 < E(-x) <= E(0) = 1/Gamma(beta).  A row's computed total differs
+    from E by its truncated tail (the last term lies exp(-40) below the
+    largest) plus the rounding of its terms and of their sum; both are
+    a share kappa, far below 1e-6, of S, the sum of the term magnitudes.
+    So |total| <= 1/Gamma(beta) + kappa S, and the estimate
+    eps S / |total| exceeds the gate A = ML_TAYLOR_ACCEPT once
+    S (eps - A kappa) > A / Gamma(beta).  S is at least the largest term
+    exp(peak), and A kappa < eps / 100, so
+    peak > log(A / eps) - log Gamma(beta) + log 2
+    is enough: the safety factor 2 also covers the rounding of the
+    estimate itself.  log(A / eps) is log 2,273; log Gamma keeps large
+    beta, where 1/Gamma(beta) underflows, clear of log(0).
+    """
+    if not (alpha <= 1.0 and beta >= alpha):
+        return math.inf
+    return math.log(2.0 * ML_TAYLOR_ACCEPT / _EPS) - math.lgamma(beta)
+
+
 def _series(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Power series, one row of terms per point.
 
     Returns (values, relative error estimates).  Terms are built in log
     space so individual magnitudes up to exp(705) never overflow.  A row
-    starts with 128 terms and doubles until its own last term is dead;
-    a point still unconverged at 2**21 terms gets (nan, inf).
+    starts with 128 terms and doubles until its own last term is dead.
+    Two kinds of rows get (nan, inf): a point still unconverged at 2**21
+    terms, and a point z < 0 whose largest computed log-term exceeds
+    ``_series_doom``, which is dropped as soon as a round shows it, before
+    exponentials, sums or further rounds.
     """
     value = np.full(z.size, math.nan)
     est = np.full(z.size, math.inf)
     log_x = np.log(np.abs(z))
+    doom = np.where(z < 0.0, _series_doom(alpha, beta), math.inf)
     pending = np.arange(z.size)
     n_hi = 128
     while pending.size and n_hi <= (1 << 21):
         n = np.arange(n_hi, dtype=float)
         log_gamma = _lgamma(alpha * n + beta)
         alternating = np.where(n % 2 == 0, 1.0, -1.0)
-        converged = np.zeros(pending.size, dtype=bool)
+        done = np.zeros(pending.size, dtype=bool)
         for rows in _row_blocks(pending.size, n_hi):
             idx = pending[rows]
             logt = n * log_x[idx, None] - log_gamma
             peak = logt.max(axis=1)
             last = logt[:, -1]
+            doomed = peak > doom[idx]
             # converged when the last term is dead both absolutely and
             # relative to the largest term
-            ok = (last < peak - 40.0) & (last < -42.0)
-            converged[rows] = ok
+            ok = (last < peak - 40.0) & (last < -42.0) & ~doomed
+            done[rows] = ok | doomed
             idx = idx[ok]
             mags = np.exp(logt[ok])
             signed = np.where(z[idx, None] < 0.0, mags * alternating, mags)
             total = signed.sum(axis=1)
             value[idx] = total
             est[idx] = _EPS * mags.sum(axis=1) / np.maximum(np.abs(total), 1e-300)
-        pending = pending[~converged]
+        pending = pending[~done]
         n_hi *= 2
     return value, est
 

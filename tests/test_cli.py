@@ -127,6 +127,35 @@ def test_cli_leaves_scipy_unimported(tmp_path):
     assert "result pass" in out.stdout
 
 
+def _peak_rss_kib(code):
+    # peak resident set of a fresh interpreter that runs code, as VmHWM:
+    # its ru_maxrss would also carry the peak of this (forking) process
+    # across the exec
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nprint(open('/proc/self/status').read())"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return int(out.stdout.split("VmHWM:")[1].split()[0])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+def test_verify_peak_memory_stays_near_the_import(tmp_path):
+    # the Mittag-Leffler routes build their row matrices in blocks of
+    # 128 KiB; verify of the demo trajectory stays within 6 MB of the bare
+    # import (1 MB blocks put it 10 MB above)
+    heat = str(REPO / "demos" / "configs" / "demo_heat.ini")
+    sim = run_cli("simulate", "--config", heat, "--out", str(tmp_path / "heat"))
+    assert sim.returncode == 0, sim.stderr
+    traj = str(tmp_path / "heat.trajectory.txt")
+    base = _peak_rss_kib("import fracevol.cli")
+    verify = _peak_rss_kib(
+        "import fracevol.cli\n"
+        f"assert fracevol.cli.main(['verify', '--config', {heat!r}, {traj!r}]) == 0"
+    )
+    assert verify - base < 6 * 1024, (verify, base)
+
+
 def test_ml_bad_arguments():
     assert run_cli("ml", "1", "1").returncode == 2
     assert run_cli("ml", "x", "1", "1").returncode == 2

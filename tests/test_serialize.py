@@ -1,12 +1,28 @@
 """Round-trip and format tests for the plain-text artifacts."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracevol.config import VERIFY_EQUATION_TOL_DEFAULT, VERIFY_PINNING_TOL_DEFAULT
 from fracevol.control import ReachabilityTable
 from fracevol.errors import ConfigError
-from fracevol.fraccalc import TimeGrid
-from fracevol.greens import SolveReport, Trajectory, VerificationReport
+from fracevol.fraccalc import SampledFn, TimeGrid
+from fracevol.greens import (
+    NonlocalSpec,
+    ProblemSpec,
+    SolveReport,
+    Trajectory,
+    VerificationReport,
+    sine_collocation_source,
+    solve_mild,
+    verify_mild,
+)
+from fracevol.spectral import SpectralModel
 from fracevol.serialize import (
     format_float,
     read_trajectory,
@@ -153,3 +169,45 @@ def test_render_verification_verdicts():
     text2, passed2 = render_verification(rep, 1e-5, 1e-3)
     assert not passed2
     assert "result fail" in text2
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    n_modes=st.integers(1, 4),
+    alpha=st.floats(0.75, 1.0),
+    horizon=st.floats(0.5, 1.0),
+    n_steps=st.integers(128, 256),
+    pins=st.lists(
+        st.tuples(st.floats(0.05, 1.0), st.floats(-0.3, 0.3)),
+        max_size=2,
+        unique_by=lambda p: p[0],
+    ),
+    forcing=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+)
+def test_solve_write_read_verify_passes(n_modes, alpha, horizon, n_steps, pins, forcing):
+    # what `simulate` writes, `verify` reads back and accepts at the
+    # default tolerances, on generated pinned sine-source problems
+    pins = sorted(pins)
+    coupling = NonlocalSpec(
+        np.array([w for _, w in pins]), np.array([t * horizon for t, _ in pins]), horizon
+    )
+    problem = ProblemSpec(
+        SpectralModel.dirichlet_laplacian(n_modes),
+        alpha,
+        coupling,
+        nonlinearity=sine_collocation_source(n_modes),
+    )
+    grid = TimeGrid(horizon, n_steps)
+    raw = SampledFn(grid, np.tile(forcing[:n_modes], (n_steps + 1, 1)))
+    traj, _ = solve_mild(problem, grid, raw_forcing=raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.trajectory.txt")
+        write_trajectory(path, traj)
+        back = read_trajectory(path)
+    assert back.grid == traj.grid
+    assert np.array_equal(back.states, traj.states)
+    report = verify_mild(problem, back, raw_forcing=raw)
+    _, passed = render_verification(
+        report, VERIFY_EQUATION_TOL_DEFAULT, VERIFY_PINNING_TOL_DEFAULT
+    )
+    assert passed, (report.equation_residual, report.nonlocal_residual)

@@ -351,6 +351,78 @@ def test_tail_expansion_serves_only_points_past_the_series_band(monkeypatch):
         assert min(peaks[alpha]) <= specfun._SERIES_CANCEL_LIMIT
 
 
+def _log_terms(alpha, beta, q, n_hi):
+    n = np.arange(n_hi, dtype=float)
+    return n * math.log(abs(q)) - np.array([math.lgamma(alpha * k + beta) for k in n])
+
+
+def _full_series(alpha, beta, q):
+    # the series row of one negative point with every term, to the same
+    # convergence rule as specfun._series: (sum t, eps * sum |t| / |sum t|)
+    n_hi = 128
+    logt = _log_terms(alpha, beta, q, n_hi)
+    while not (logt[-1] < logt.max() - 40.0 and logt[-1] < -42.0):
+        n_hi *= 2
+        logt = _log_terms(alpha, beta, q, n_hi)
+    mags = np.exp(logt)
+    total = np.where(np.arange(n_hi) % 2 == 0, mags, -mags).sum()
+    return total, specfun._EPS * mags.sum() / abs(total)
+
+
+def _series_band(alpha):
+    # the negative points mittag_leffler_array sends to the series
+    return SWEEP_Z[np.abs(SWEEP_Z) ** (1.0 / alpha) <= specfun._SERIES_CANCEL_LIMIT]
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.75, 0.95, SWEEP_TOP_ALPHA, 1.0])
+@pytest.mark.parametrize("beta", [None, 1.0, 1.5, 3.0])
+def test_series_drops_only_rows_that_miss_the_gate(alpha, beta):
+    beta = alpha if beta is None else beta
+    z = _series_band(alpha)
+    value, est = specfun._series(alpha, beta, z)
+    dropped = np.isinf(est)
+    assert dropped.any()
+    assert np.isnan(value[dropped]).all()
+    for q in z[dropped]:
+        assert _full_series(alpha, beta, float(q))[1] > constants.ML_TAYLOR_ACCEPT
+    # every other row keeps the bits it had without the drop
+    for q, v, e in zip(z[~dropped], value[~dropped], est[~dropped]):
+        assert (v, e) == _full_series(alpha, beta, float(q))
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,sign",
+    [(0.75, 1.0, 1.0), (0.4, 3.0, 1.0), (0.75, 0.5, -1.0), (0.4, 0.2, -1.0), (1.5, 1.0, -1.0),
+     (1.5, 3.0, -1.0), (1.2, 1.2, -1.0)],
+)
+def test_series_drops_no_row_off_the_completely_monotone_range(alpha, beta, sign):
+    # positive z, beta < alpha and alpha > 1 have no bound |E| <= 1/Gamma(beta)
+    z = sign * np.abs(_series_band(alpha))
+    if alpha <= 1.0 and beta >= alpha:
+        assert specfun._series_doom(alpha, beta) < math.inf
+    else:
+        assert specfun._series_doom(alpha, beta) == math.inf
+    # rows whose terms outgrow the bound the completely monotone range uses
+    bound = math.log(constants.ML_TAYLOR_ACCEPT / specfun._EPS) - math.lgamma(beta)
+    assert max(_log_terms(alpha, beta, float(q), 128).max() for q in z) > bound + 2.0
+    _, est = specfun._series(alpha, beta, z)
+    assert np.isfinite(est).all()
+
+
+def test_ml_array_bits_do_not_depend_on_block_size(monkeypatch):
+    rng = np.random.default_rng(7)
+    z = np.concatenate([-rng.uniform(0.0, 60.0, 4000), rng.uniform(0.0, 5.0, 200)])
+    pairs = ((0.75, 1.0), (0.75, 0.75), (0.4, 1.3))
+    tables = {}
+    for elems in (1 << 17, specfun._BLOCK_ELEMS, 1 << 8):
+        monkeypatch.setattr(specfun, "_BLOCK_ELEMS", elems)
+        tables[elems] = [mittag_leffler_array(alpha, beta, z) for alpha, beta in pairs]
+    first, *rest = tables.values()
+    for other in rest:
+        for a, b in zip(first, other):
+            assert np.array_equal(a, b)
+
+
 # ------------------------------------------------ Gamma helpers against scipy
 
 _POSITIVE = np.concatenate([np.geomspace(1e-300, 1.0, 400), np.linspace(1.0, 171.0, 1701)])

@@ -292,13 +292,15 @@ class ProductQuadrature:
     every data column; an (n_nodes, n_cols) table gives data column m its
     own kernel, column m.  Building it forms the weighted table k * h and
     the t = 0 correction mu1 * h once, and the real FFT (numpy.fft) of the
-    weighted table at the smallest 5-smooth length of at least 2 n + 1, so
-    that the circular convolution equals the linear one on the nodes.  Each
+    weighted table at the smallest 5-smooth length L of at least 2 n.  Each
     call is then one forward and one inverse real FFT over all data
-    columns: the same sums
-    as the node-by-node quadrature, up to the FFT's rounding.  Node 0, the
-    integral over an empty interval, is exactly 0.  Every column's value is
-    the same bits as when that column is transformed alone.
+    columns: the same sums as the node-by-node quadrature, up to the FFT's
+    rounding.  The linear convolution of two length-(n + 1) sequences has
+    2 n + 1 terms; the circular one of length L >= 2 n folds at most its
+    last term, k[n] x[n] at index 2 n, back onto index 0, so nodes 1..n
+    are the linear sums.  Node 0, the integral over an empty interval, is
+    set to exactly 0, which discards the folded term.  Every column's
+    value is the same bits as when that column is transformed alone.
     """
 
     def __init__(self, alpha: float, grid: TimeGrid, smooth_at_lags: np.ndarray):
@@ -312,7 +314,7 @@ class ProductQuadrature:
         scale = grid.delta ** alpha
         self.grid = grid
         self._table_shape = table.shape
-        self._size = _fast_len(2 * n + 1)
+        self._size = _fast_len(2 * n)
         self._spectrum = np.fft.rfft(scale * k[:, None] * cols, self._size, axis=0)
         self._correction = scale * mu1[1 : n + 2, None] * cols
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -100,9 +100,11 @@ class Nonlinearity:
     fn maps (times, states), the (n_nodes,) node times and (n_nodes, n_modes)
     mode vectors, to source values shaped like states, for all nodes in one
     call; a single (t, mode_vector) row works when fn's arithmetic broadcasts.
-    lipschitz_bound and source_bound are the constants entering the
-    contraction and growth estimates; they describe fn, they are not
-    enforced pointwise.
+    fn must be a deterministic function of (times, states): a
+    ResponseAssembly evaluates it at the zero state once and reuses that
+    value as the first Picard step of every later solve.  lipschitz_bound
+    and source_bound are the constants entering the contraction and growth
+    estimates; they describe fn, they are not enforced pointwise.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -329,13 +331,13 @@ def _check_tol(tol: float) -> None:
 
 def _fixed_point(
     step: Callable[[np.ndarray], np.ndarray],
-    shape: tuple[int, int],
+    start: np.ndarray,
     *,
     tol: float,
     max_iter: int,
     run_limit: int,
 ) -> tuple[np.ndarray, list[float]]:
-    """Iterate u <- step(u) from zero until the sup-norm update is <= tol.
+    """Iterate u <- step(u) from start until the sup-norm update is <= tol.
 
     Returns the last iterate and the update history.  Raises
     ConvergenceError with both when max_iter updates do not get there,
@@ -346,7 +348,7 @@ def _fixed_point(
     if max_iter < 1:
         raise DomainError("max_iter must be positive")
     _check_tol(tol)
-    u = np.zeros(shape)
+    u = start
     diffs: list[float] = []
     growing = 0
     for k in range(1, max_iter + 1):
@@ -382,7 +384,9 @@ class ResponseAssembly:
 
     Holds the per-mode inverse factors, decay samples, the product
     quadrature over the (nodes x modes) convolution lag table, and the
-    quadrature rows at the pinning times.
+    quadrature rows at the pinning times.  Once first needed, it also
+    holds the source at the zero state (the first Picard step of every
+    solve) and the divergence run limit per (max_iter, identity share).
     Build it once per (problem, grid): its _picard runs every Picard solve
     (solve_mild, control.regularized_W) and endpoint_rows gives the
     steering functionals under exactly the same discretization.
@@ -406,6 +410,28 @@ class ResponseAssembly:
         for k, tk in enumerate(problem.coupling.times):
             self.pin_rows[k] = _kernel_rows(problem, grid, float(tk))
         self.decay_at_pins = ml_table(lams, alpha, 1.0, problem.coupling.times)
+        self._run_limits: dict[tuple[int, float], int] = {}
+
+    @cached_property
+    def _zero_source(self) -> np.ndarray:
+        """A read-only copy of the source at the zero state.
+
+        A source that raises here leaves nothing cached, so the next solve
+        calls it again.
+        """
+        zero = np.zeros((self.grid.n_steps + 1, self.problem.n_modes))
+        source = np.array(_eval_source(self.problem, self.grid.nodes, zero))
+        source.flags.writeable = False
+        return source
+
+    def _run_limit(self, max_iter: int, identity_share: float) -> int:
+        """_transient_run of this problem, computed once per (max_iter, identity_share)."""
+        key = (max_iter, identity_share)
+        if key not in self._run_limits:
+            self._run_limits[key] = _transient_run(
+                self.problem, max_iter, identity_share=identity_share
+            )
+        return self._run_limits[key]
 
     def pin_responses(self, forcing: np.ndarray) -> np.ndarray:
         """Response integral at each pinning time; result is (n_points, n_modes)."""
@@ -467,10 +493,11 @@ class ResponseAssembly:
         """
         problem, grid = self.problem, self.grid
         forcing = base
+        zero = np.zeros(base.shape)
 
         def step(u: np.ndarray) -> np.ndarray:
             nonlocal forcing
-            source = _eval_source(problem, grid.nodes, u)
+            source = self._zero_source if u is zero else _eval_source(problem, grid.nodes, u)
             forcing = base + source
             response = self.response(forcing)
             return response if n is None else response + source / n
@@ -478,10 +505,10 @@ class ResponseAssembly:
         identity_share = 0.0 if n is None else 1.0 / n
         u, diffs = _fixed_point(
             step,
-            base.shape,
+            zero,
             tol=tol,
             max_iter=max_iter,
-            run_limit=_transient_run(problem, max_iter, identity_share=identity_share),
+            run_limit=self._run_limit(max_iter, identity_share),
         )
         if n is None:
             # final consistency of the pinning identity, under the same quadrature
@@ -696,7 +723,9 @@ def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity
     of its modes.  Rows go through in zero-padded
     blocks of _SOURCE_BLOCK rows, so one (t, u) row and a whole trajectory
     run the same matrix shapes and every row gets the same bits either way;
-    the sine and the decay factor act on the live rows only.
+    the sine acts on the live rows only.  The decay factor is constant along
+    a row, so it divides the n_modes result columns after the projection
+    rather than the collocation points before it.
     """
     if collocation < n_modes:
         raise DomainError("collocation must be at least the mode count")
@@ -717,16 +746,19 @@ def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity
         n_blocks = -(-n_rows // _SOURCE_BLOCK)
         padded = np.zeros((n_blocks * _SOURCE_BLOCK, n))
         padded[:n_rows] = rows
-        times = np.broadcast_to(np.asarray(t, dtype=float), u.shape[:-1]).ravel()
+        times = np.asarray(t, dtype=float)
+        if times.shape != u.shape[:-1]:
+            times = np.broadcast_to(times, u.shape[:-1])
+        times = times.ravel()
         point_vals = padded.reshape(n_blocks, _SOURCE_BLOCK, n) @ synthesis[:n]
-        # sin and the decay on the live rows only; padding rows go to 0
+        # sin on the live rows only; padding rows go to 0
         flat = point_vals.reshape(-1, k)
         live = flat[:n_rows]
         np.sin(live, out=live)
-        live /= (times * times + 1.0)[:, None]
         flat[n_rows:] = 0.0
-        back = (point_vals @ analysis[:n].T).reshape(-1, n)
-        return back[:n_rows].reshape(u.shape)
+        back = (point_vals @ analysis[:n].T).reshape(-1, n)[:n_rows]
+        back /= (times * times + 1.0)[:, None]
+        return back.reshape(u.shape)
 
     return Nonlinearity(fn=fn, lipschitz_bound=1.0, source_bound=math.sqrt(math.pi))
 

@@ -533,3 +533,57 @@ def test_product_quadrature_columns_equal_one_column_calls_bit_for_bit(n, n_cols
     out = ProductQuadrature(0.75, grid, table)(data)
     for m in range(n_cols):
         assert np.array_equal(out[:, m], ProductQuadrature(0.75, grid, table[:, m])(data[:, m]))
+
+
+# the FFT length _fast_len(2 n) is 2 n itself for each of these n but 7,
+# so the circular convolution folds the term k[n] x[n] onto node 0
+FOLDING_NS = [1, 2, 3, 7, 30, 64, 100, 512]
+FOLDING_RATES = (0.5, 2.0, 7.0)
+
+
+def _folding_case(n):
+    rng = np.random.default_rng(7300 + n)
+    grid = TimeGrid(1.3, n)
+    table = np.exp(-np.outer(np.arange(n + 1) * grid.delta, FOLDING_RATES))
+    return grid, table, 1.0 + rng.standard_normal((n + 1, 3))
+
+
+@pytest.mark.parametrize("n", FOLDING_NS)
+def test_product_quadrature_at_length_2n_folds_onto_node_0_only(n):
+    # node 0 is set to 0, so the folded term is gone and nodes 1..n are
+    # the direct sums of the same weights
+    grid, table, data = _folding_case(n)
+    for alpha in (0.35, 0.75, 1.0):
+        _assert_matches_direct_sum(alpha, grid, table, data)
+        out = ProductQuadrature(alpha, grid, table)(data)
+        for m in range(3):
+            one = ProductQuadrature(alpha, grid, table[:, m])(data[:, m])
+            assert np.array_equal(out[:, m], one)
+
+
+@pytest.mark.parametrize(
+    "n",
+    FOLDING_NS[:-1]
+    + [
+        pytest.param(
+            512,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="both quadratures lose about eps * n / alpha to cancellation in "
+                "their power moments, so they sit up to 1.7e-12 of sup|out| apart "
+                "here whatever the FFT length",
+            ),
+        )
+    ],
+)
+def test_product_quadrature_at_length_2n_matches_node_by_node_quadrature(n):
+    grid, table, data = _folding_case(n)
+    for alpha in (0.35, 0.75, 1.0):
+        out = ProductQuadrature(alpha, grid, table)(data)
+        for m, rate in enumerate(FOLDING_RATES):
+            column = SampledFn(grid, data[:, m])
+            kernel = lambda lags, rate=rate: np.exp(-rate * lags)
+            ref = [singular_convolution_at(alpha, kernel, column, t) for t in grid.nodes]
+            assert np.max(np.abs(out[:, m] - ref)) <= QUADRATURE_MATCH_TOL * np.max(
+                np.abs(out[:, m])
+            )

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fracevol.constants import NEUMANN_CLOSED_FORM_TOL
+from fracevol.constants import NEUMANN_CLOSED_FORM_TOL, SOLVE_MAX_ITER_DEFAULT
 from fracevol.errors import AdmissibilityError, ConvergenceError, DomainError
 from fracevol.fraccalc import SampledFn, TimeGrid, singular_convolution_at
 from fracevol.greens import (
     Nonlinearity,
     NonlocalSpec,
     ProblemSpec,
+    ResponseAssembly,
     Trajectory,
     _transient_run,
     build_O,
@@ -441,6 +442,9 @@ def test_batched_sources_equal_row_by_row_bit_for_bit():
         assert np.array_equal(batched, rows)
         single = src.fn(0.25, states[3])
         assert single.shape == (8,)
+        # a 0-d time takes the same path as a float
+        for t in (np.float64(grid.nodes[3]), np.array(grid.nodes[3])):
+            assert np.array_equal(src.fn(t, states[3]), batched[3])
 
 
 def _sine_source_by_dst(t, u, collocation=64):
@@ -527,6 +531,58 @@ def test_a_source_error_names_its_picard_iteration():
     with pytest.raises(DomainError, match="^Picard iteration 3: " + NAN_MESSAGE):
         solve_mild(_broken_source_problem(late_nan), grid, raw_forcing=forcing)
     assert len(calls) == 3
+
+
+def test_an_assembly_evaluates_the_zero_state_source_once():
+    # the first step of every solve reads the source at the zero state; an
+    # assembly computes it once, so k solves cost sum(iterations) - (k - 1)
+    # calls, the regularized step included
+    sine = sine_collocation_source(4)
+    calls = []
+
+    def counting(t, u):
+        calls.append(u.shape)
+        return sine.fn(t, u)
+
+    grid = TimeGrid(1.0, 32)
+    asm = ResponseAssembly(_broken_source_problem(counting), grid)
+    base = 0.2 * np.ones((33, 4))
+    iterations = []
+    for solve in (
+        lambda: asm.solve(),
+        lambda: asm.solve(raw_forcing=SampledFn(grid, base)),
+        lambda: asm._picard(base, tol=1e-10, max_iter=200, n=4),
+        lambda: asm.solve(raw_forcing=SampledFn(grid, -base)),
+    ):
+        iterations.append(solve()[1].iterations)
+        assert len(calls) == sum(iterations) - (len(iterations) - 1)
+    assert iterations[0] == 1 and min(iterations[1:]) > 1  # the zero state is fixed
+    # one run limit per (max_iter, identity share), as _transient_run gives it
+    assert asm._run_limits == {
+        (max_iter, share): _transient_run(asm.problem, max_iter, identity_share=share)
+        for max_iter, share in ((SOLVE_MAX_ITER_DEFAULT, 0.0), (200, 0.25))
+    }
+    # a fresh assembly gives the same bits as the one that reuses
+    forcing = SampledFn(grid, -base)
+    fresh, _ = ResponseAssembly(asm.problem, grid).solve(raw_forcing=forcing)
+    np.testing.assert_array_equal(fresh.states, asm.solve(raw_forcing=forcing)[0].states)
+
+
+def test_a_source_failing_at_the_zero_state_fails_every_solve():
+    # nothing is kept from a failed evaluation: each solve tries again and
+    # names the first Picard iteration
+    calls = []
+
+    def nan_at_zero(t, u):
+        calls.append(t)
+        return _nan_from_half(t, u)
+
+    grid = TimeGrid(1.0, 16)
+    asm = ResponseAssembly(_broken_source_problem(nan_at_zero), grid)
+    for k in range(1, 4):
+        with pytest.raises(DomainError, match="^Picard iteration 1: " + NAN_MESSAGE):
+            asm.solve()
+        assert len(calls) == k
 
 
 def test_verify_fails_fast_on_a_bad_source():

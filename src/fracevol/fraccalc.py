@@ -6,11 +6,13 @@ quadrature for convolutions with weakly singular kernels of the form
 (t - s)**(alpha - 1) * h(t - s).  The quadrature integrates the singular
 power factor exactly on every subinterval against the piecewise linear
 interpolant of the sampled data, so no kernel value is ever requested at
-the singularity itself.
+the singularity itself.  These weights, the L1 weights and verify_mild's
+all read the power's panel moments from _panel_moments, free of cancellation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -98,24 +100,37 @@ def _check_order(alpha: float, allow_one: bool = False) -> float:
     return alpha
 
 
+def _panel_moments(alpha: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a0, far): integrals of s**(alpha-1) and s**(alpha-1) * (s - u) over [u, u + 1].
+
+    Free of cancellation: a0 = (u + 1)**alpha * -expm1(-alpha L) / alpha with
+    L = log1p(1/u), and from u = 1/4 on (L <= log 5) far = u**(alpha+1) L**2
+    sum_{m>=2} ((alpha+1)**(m-1) - alpha**(m-1)) L**(m-2) / m!, 40 positive
+    terms; below, far = ((u+1)**(alpha+1) - u**(alpha+1)) / (alpha+1) - u a0.
+    """
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore"):
+        el = np.log1p(1.0 / u)  # inf at u = 0, where a0 is 1 / alpha
+    a0 = (u + 1.0) ** alpha * -np.expm1(-alpha * el) / alpha
+    far = ((u + 1.0) ** (alpha + 1.0) - u ** (alpha + 1.0)) / (alpha + 1.0) - u * a0
+    hi = u >= 0.25
+    v, el, series = u[hi], el[hi], 0.0
+    for m in range(41, 1, -1):  # Horner, highest term first
+        series = series * el + ((alpha + 1.0) ** (m - 1) - alpha ** (m - 1)) / math.factorial(m)
+    far[hi] = v ** (alpha + 1.0) * el * el * series
+    return a0, far
+
+
 def _uniform_kernel(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Convolution weights of the power kernel against hat functions.
 
     Returns (k, mu1) with k[d] the weight multiplying the sample at lag d
-    and mu1[d] = integral of sigma**(alpha-1) * (d - sigma) over [d-1, d],
-    needed to correct the contribution of the t = 0 sample.
+    and mu1[d] = integral of sigma**(alpha-1) * (d + 1 - sigma) over
+    [d, d + 1], the part of k[d] that the t = 0 sample at lag d lacks.
     """
-    d = np.arange(0, n + 2, dtype=float)
-    mu0 = np.zeros(n + 2)
-    mu1 = np.zeros(n + 2)
-    mu0[1:] = (d[1:] ** alpha - d[:-1] ** alpha) / alpha
-    mu1[1:] = d[1:] * mu0[1:] - (d[1:] ** (alpha + 1.0) - d[:-1] ** (alpha + 1.0)) / (
-        alpha + 1.0
-    )
-    k = np.empty(n + 1)
-    k[0] = mu1[1]
-    k[1:] = mu0[1 : n + 1] - mu1[1 : n + 1] + mu1[2 : n + 2]
-    return k, mu1
+    a0, far = _panel_moments(alpha, np.arange(n + 1))
+    mu1 = a0 - far
+    return np.concatenate([mu1[:1], far[:-1] + mu1[1:]]), mu1
 
 
 def _fast_len(m: int) -> int:
@@ -165,18 +180,14 @@ def caputo_derivative(alpha: float, f: SampledFn) -> SampledFn:
     """
     alpha = _check_order(alpha)
     n = f.grid.n_steps
-    if n < 1:
-        raise DomainError("need at least two nodes")
-    d = np.arange(0, n + 1, dtype=float)
-    b = np.zeros(n + 1)
-    b[1:] = d[1:] ** (1.0 - alpha) - d[:-1] ** (1.0 - alpha)
+    # b[d - 1] = d**(1 - alpha) - (d - 1)**(1 - alpha), free of cancellation
+    b = (1.0 - alpha) * _panel_moments(1.0 - alpha, np.arange(n))[0]
     coef = f.grid.delta ** (-alpha) / gamma(2.0 - alpha)
     vals = np.asarray(f.values, dtype=float)
     cols = vals.reshape(n + 1, -1)
     out = np.zeros_like(cols)
     for m in range(cols.shape[1]):
-        diffs = np.diff(cols[:, m])
-        out[1:, m] = coef * np.convolve(b[1:], diffs)[:n]
+        out[1:, m] = coef * np.convolve(b, np.diff(cols[:, m]))[:n]
     out = _extrapolate_node0(out).reshape(vals.shape)
     return SampledFn(f.grid, out, node0_extrapolated=True)
 
@@ -248,16 +259,16 @@ def singular_kernel_weights(
     discretization.  kernel_smooth maps an array of lags to an array whose
     leading axis runs over the lags: (n_lags,) gives weights of shape
     (n_nodes,), (n_lags, n_cols) gives one weight column per kernel column,
-    each equal to the weights of that column's kernel alone.
+    each equal to the weights of that column's kernel alone.  It is asked
+    for the node lags (jp - j + theta) * delta, at a node exactly the
+    product quadrature's k * delta, then for w0 = theta * delta and 0; the
+    power weights are _panel_moments' in units of delta.
     """
     alpha = _check_order(alpha, allow_one=True)
     jp, theta = grid.locate(t)
     delta = grid.delta
     w0 = theta * delta
-    tt = (jp + theta) * delta  # work with the snapped time
-    # the node lags, clamped at 0 because the snapped time can sit an ulp
-    # below nodes[-1], then the trailing-panel lags w0 and 0
-    lags = np.concatenate([np.maximum(tt - grid.nodes[: jp + 1], 0.0), [w0, 0.0]])
+    lags = np.concatenate([(np.arange(jp, -1, -1) + theta) * delta, [w0, 0.0]])
     # one kernel call, array in and array out; its own exceptions propagate
     h = np.asarray(kernel_smooth(lags), dtype=float)
     if h.shape[:1] != lags.shape:
@@ -265,22 +276,15 @@ def singular_kernel_weights(
     cols = h.reshape(jp + 3, -1)
     w = np.zeros((grid.n_steps + 1, cols.shape[1]))
     if jp > 0:
-        j = np.arange(jp)
-        u = tt - (j + 1) * delta
-        hi = u + delta
-        a0 = (hi ** alpha - u ** alpha) / alpha
-        p1 = (hi ** (alpha + 1.0) - u ** (alpha + 1.0)) / (alpha + 1.0)
-        toward_right = (p1 - u * a0) / delta
-        toward_left = (hi * a0 - p1) / delta
-        pw = np.zeros(jp + 1)
-        np.add.at(pw, j, toward_right)
-        np.add.at(pw, j + 1, toward_left)
-        w[: jp + 1] = pw[:, None] * cols[: jp + 1]
+        # panel j spans lags [u, u + 1] * delta with u = jp - 1 - j + theta;
+        # its far moment goes to node j, its near one to node j + 1
+        a0, far = _panel_moments(alpha, np.arange(jp - 1, -1, -1) + theta)
+        pw = np.append(far, 0.0) + np.append(0.0, a0 - far)
+        w[: jp + 1] = (delta ** alpha * pw)[:, None] * cols[: jp + 1]
     if theta > 0.0:
-        m0 = w0 ** alpha / alpha
-        mt = w0 ** (alpha + 1.0) / (alpha + 1.0)
-        edge = cols[-1] * (m0 - mt / w0)
-        w[jp] += cols[-2] * (mt / w0) + edge * (1.0 - theta)
+        # the trailing panel's moments against s / w0 and 1 - s / w0
+        edge = cols[-1] * (w0 ** alpha / (alpha * (alpha + 1.0)))
+        w[jp] += cols[-2] * (w0 ** alpha / (alpha + 1.0)) + edge * (1.0 - theta)
         w[jp + 1] += edge * theta
     return w.reshape((grid.n_steps + 1,) + h.shape[1:])
 
@@ -301,6 +305,7 @@ class ProductQuadrature:
     are the linear sums.  Node 0, the integral over an empty interval, is
     set to exactly 0, which discards the folded term.  Every column's
     value is the same bits as when that column is transformed alone.
+    The product-trapezoid weights k and mu1 come from _panel_moments.
     """
 
     def __init__(self, alpha: float, grid: TimeGrid, smooth_at_lags: np.ndarray):
@@ -316,7 +321,7 @@ class ProductQuadrature:
         self._table_shape = table.shape
         self._size = _fast_len(2 * n)
         self._spectrum = np.fft.rfft(scale * k[:, None] * cols, self._size, axis=0)
-        self._correction = scale * mu1[1 : n + 2, None] * cols
+        self._correction = scale * mu1[:, None] * cols
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """The quadrature at every node; values has one row per node."""

@@ -24,7 +24,8 @@ import numpy as np
 
 from .constants import NEUMANN_TRUNC_TOL, SOLVE_MAX_ITER_DEFAULT, SOLVE_TOL_DEFAULT
 from .errors import AdmissibilityError, ConvergenceError, DomainError
-from .fraccalc import ProductQuadrature, SampledFn, TimeGrid, singular_kernel_weights
+from .fraccalc import ProductQuadrature, SampledFn, TimeGrid, _panel_moments
+from .fraccalc import singular_kernel_weights
 from .spectral import SpectralModel, decay_factors, ml_table
 
 __all__ = [
@@ -462,13 +463,8 @@ class ResponseAssembly:
         return (self.decay_nodes[-1] * self.o)[:, None] * pin_part + rows
 
     def _lag_kernel(self, lags: np.ndarray) -> np.ndarray:
-        """Lag-table rows at lags in [0, n delta]; a lag off k * delta goes to ml_table."""
-        k = np.rint(lags / self.grid.delta).astype(int)
-        table, miss = self._lag_table[k], k * self.grid.delta != lags
-        if miss.any():
-            lams, alpha = self.problem.model.lambdas, self.problem.alpha
-            table[miss] = ml_table(lams, alpha, alpha, lags[miss])
-        return table
+        """Lag-table rows at the horizon's lags, each exactly some k * delta."""
+        return self._lag_table[np.rint(lags / self.grid.delta).astype(int)]
 
     def solve(
         self,
@@ -622,9 +618,7 @@ def verify_mild(
     # midpoint smooth-kernel samples at half-integer lags, times the exact
     # panel moments of the power factor, by distance
     mid_table = ml_table(lams, alpha, alpha, (np.arange(n) + 0.5) * delta)
-    d = np.arange(n + 1, dtype=float)
-    moments = (d[1:] ** alpha - d[:-1] ** alpha) * delta ** alpha / alpha
-    kern = mid_table * moments[:, None]
+    kern = mid_table * (_panel_moments(alpha, np.arange(n))[0] * delta ** alpha)[:, None]
 
     avg = 0.5 * (forcing[:-1] + forcing[1:])  # panel-average forcing
     # node i sums panels j = 0..i-1 at lag distance i-j-1/2: entry i-1 of

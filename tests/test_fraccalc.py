@@ -445,6 +445,21 @@ def test_kernel_weights_at_horizon_keep_lags_nonnegative():
     assert np.all(np.isfinite(w))
 
 
+@pytest.mark.parametrize("horizon, n", [(1.0, 30), (1.0, 100), (0.7, 64), (1.3, 512), (10.0, 1000)])
+def test_kernel_weights_at_horizon_read_the_lags_k_delta(horizon, n):
+    # the lags the kernel sees at the horizon are the product quadrature's
+    # (n - j) * delta bit for bit, though delta is no binary fraction
+    g, seen = TimeGrid(horizon, n), []
+
+    def kernel(lags):
+        seen.append(lags.copy())
+        return np.ones_like(lags)
+
+    singular_kernel_weights(0.75, kernel, g, horizon)
+    assert np.array_equal(seen[0][: n + 1], (n - np.arange(n + 1)) * g.delta)
+    assert np.array_equal(seen[0][n + 1 :], [0.0, 0.0])
+
+
 @pytest.mark.parametrize("op", [caputo_derivative, rl_derivative])
 def test_derivatives_of_columns_match_column_calls(op):
     g = TimeGrid(1.0, 30)
@@ -462,7 +477,7 @@ def _assert_matches_direct_sum(alpha, grid, table, data):
     out = ProductQuadrature(alpha, grid, table)(data)
     k, mu1 = _uniform_kernel(alpha, n)
     ref = grid.delta ** alpha * oracles.product_quadrature_direct(
-        k, mu1[1:], table, data.reshape(n + 1, -1)
+        k, mu1, table, data.reshape(n + 1, -1)
     )
     assert np.all(out[0] == 0.0)  # the integral over an empty interval
     assert np.max(np.abs(out.reshape(ref.shape) - ref)) <= QUADRATURE_MATCH_TOL * np.max(
@@ -561,21 +576,7 @@ def test_product_quadrature_at_length_2n_folds_onto_node_0_only(n):
             assert np.array_equal(out[:, m], one)
 
 
-@pytest.mark.parametrize(
-    "n",
-    FOLDING_NS[:-1]
-    + [
-        pytest.param(
-            512,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="both quadratures lose about eps * n / alpha to cancellation in "
-                "their power moments, so they sit up to 1.7e-12 of sup|out| apart "
-                "here whatever the FFT length",
-            ),
-        )
-    ],
-)
+@pytest.mark.parametrize("n", FOLDING_NS)
 def test_product_quadrature_at_length_2n_matches_node_by_node_quadrature(n):
     grid, table, data = _folding_case(n)
     for alpha in (0.35, 0.75, 1.0):
@@ -587,3 +588,38 @@ def test_product_quadrature_at_length_2n_matches_node_by_node_quadrature(n):
             assert np.max(np.abs(out[:, m] - ref)) <= QUADRATURE_MATCH_TOL * np.max(
                 np.abs(out[:, m])
             )
+
+
+# ------------------------------------------- weights against 40-digit moments
+
+
+def _max_rel(got, ref):
+    """Largest relative error of floats against nonzero mpf references."""
+    assert len(got) == len(ref)
+    return max(float(abs((g - r) / r)) for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("n", [513, 2048])
+def test_power_weights_match_40_digit_panel_moments(n):
+    grid = TimeGrid(1.0, n)
+    for alpha in (0.05, 0.1, 0.35, 0.75, 0.999, 1.0):
+        k, mu1 = _uniform_kernel(alpha, n)
+        ref_k, ref_mu1 = oracles.product_trapezoid_weights(alpha, n)
+        assert _max_rel(k, ref_k) <= 2e-15
+        assert _max_rel(mu1, ref_mu1) <= 2e-15
+        for t in (grid.horizon, 0.6180339887498949):  # at a node, between nodes
+            jp, theta = grid.locate(t)
+            w = singular_kernel_weights(alpha, np.ones_like, grid, t)
+            ref = oracles.kernel_weight_row(alpha, grid.delta, jp, theta)
+            assert np.all(w[len(ref) :] == 0.0)
+            assert _max_rel(w[: len(ref)], ref) <= 2e-15
+
+
+def test_product_quadrature_of_random_signs_matches_40_digit_sums():
+    # the fractional integral of random-sign data: with moments taken as
+    # differences of powers it was 3.4e-12 of sup|out| off this sum
+    alpha, grid = 0.35, TimeGrid(1.0, 512)
+    data = np.random.default_rng(7400).standard_normal(513)
+    out = ProductQuadrature(alpha, grid, np.ones(513))(data)
+    ref = oracles.product_quadrature_exact(alpha, grid.delta, np.ones(513), data)
+    assert np.max(np.abs(out - ref)) <= QUADRATURE_MATCH_TOL * np.max(np.abs(out))

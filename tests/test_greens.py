@@ -108,6 +108,26 @@ def test_check_H1_margins():
     assert rep_bad.margin == pytest.approx(-0.1, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans(), st.booleans()),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_check_H1_margin_is_monotone_in_weight_magnitudes(pairs):
+    # growing any |c_k|, whatever the signs, never raises the margin
+    mags, grow, flip, flip_big = (np.array(col) for col in zip(*pairs))
+    times = np.linspace(0.2, 1.0, len(pairs))
+    model = SpectralModel.dirichlet_laplacian(2)
+    small = check_H1(model, 0.75, NonlocalSpec(np.where(flip, -mags, mags), times, 1.0))
+    big_w = np.where(flip_big, -1.0, 1.0) * (mags + grow)
+    big = check_H1(model, 0.75, NonlocalSpec(big_w, times, 1.0))
+    assert big.margin <= small.margin
+    assert small.admissible or not big.admissible
+
+
 def test_build_O_classical_is_identity():
     model = SpectralModel.dirichlet_laplacian(4)
     assert np.array_equal(build_O(model, 0.75, classical()), np.ones(4))

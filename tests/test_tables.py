@@ -85,8 +85,8 @@ def test_endpoint_rows_read_the_lag_table_bit_for_bit(ml_calls, case):
         problem = pinned_problem(times=(0.3, 2.0), weights=(0.2, -0.3), horizon=2.0)
         grid = TimeGrid(2.0, 64)
     else:
-        # delta = 0.7 / 30 is no binary fraction: some horizon lags round
-        # off k * delta and are evaluated, the rest are read
+        # delta = 0.7 / 30 is no binary fraction, yet every horizon lag is
+        # exactly some k * delta and is read
         problem = pinned_problem(horizon=0.7, times=(0.25, 0.5))
         grid = TimeGrid(0.7, 30)
     asm = ResponseAssembly(problem, grid)
@@ -94,10 +94,7 @@ def test_endpoint_rows_read_the_lag_table_bit_for_bit(ml_calls, case):
     rows = asm.endpoint_rows()
     reads = ml_calls[built:]
     assert np.array_equal(rows, endpoint_rows_from_scratch(asm))
-    if case == "non_dyadic_grid":
-        assert len(reads) == 1 and 0 < reads[0] < (grid.n_steps + 1) * problem.n_modes
-    else:
-        assert reads == []
+    assert reads == []
 
 
 def test_steer_on_demo_steer_builds_each_table_once(ml_calls, tmp_path):

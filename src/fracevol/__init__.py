@@ -39,6 +39,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
+    SourceError,
     UnsupportedRegimeError,
 )
 from .fraccalc import (
@@ -72,6 +73,7 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DomainError",
+    "SourceError",
     "UnsupportedRegimeError",
     "SOLVE_TOL_DEFAULT",
     "STEER_TOL_DEFAULT",

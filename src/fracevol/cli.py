@@ -7,8 +7,8 @@ Commands:
     verify   --config C TRAJ     residual check of a trajectory file
 
 Exit codes: 0 success, 2 usage or config error, 3 inadmissible coupling,
-4 non-convergence, 5 unsupported regime, 6 verification failure.  All
-output is deterministic.
+4 non-convergence, 5 unsupported regime, 6 verification failure, 7 bad
+source term.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
+    SourceError,
     UnsupportedRegimeError,
 )
 from .greens import solve_mild, verify_mild
@@ -45,6 +46,18 @@ EXIT_INADMISSIBLE = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_UNSUPPORTED = 5
 EXIT_VERIFY_FAILED = 6
+EXIT_BAD_SOURCE = 7
+
+# (exception type, stderr label, exit code); the first match wins, so
+# SourceError comes before DomainError, its base
+_FAILURES = (
+    (ConfigError, "config error", EXIT_USAGE),
+    (AdmissibilityError, "inadmissible coupling", EXIT_INADMISSIBLE),
+    (UnsupportedRegimeError, "unsupported regime", EXIT_UNSUPPORTED),
+    (ConvergenceError, "no convergence", EXIT_NO_CONVERGENCE),
+    (SourceError, "source error", EXIT_BAD_SOURCE),
+    (DomainError, "domain error", EXIT_USAGE),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,21 +167,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "steer":
             return _cmd_steer(cfg, args.out)
         return _cmd_verify(cfg, args.trajectory)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AdmissibilityError as exc:
-        print(f"inadmissible coupling: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except UnsupportedRegimeError as exc:
-        print(f"unsupported regime: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ConvergenceError as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        _, label, code = next(f for f in _FAILURES if isinstance(exc, f[0]))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

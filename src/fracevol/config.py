@@ -56,7 +56,7 @@ from .constants import (
     STEER_TOL_DEFAULT,
 )
 from .errors import ConfigError, DomainError
-from .fraccalc import TimeGrid
+from .fraccalc import SampledFn, TimeGrid
 from .greens import (
     NonlocalSpec,
     ProblemSpec,
@@ -323,7 +323,5 @@ def build_forcing(cfg: RunConfig, grid: TimeGrid):
     """Steady source as a sampled signal, or None when the config has none."""
     if cfg.forcing is None:
         return None
-    from .fraccalc import SampledFn
-
     row = np.array(cfg.forcing, dtype=float)
     return SampledFn(grid, np.tile(row, (grid.n_steps + 1, 1)))

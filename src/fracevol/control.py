@@ -83,8 +83,7 @@ class ReachabilityTable:
 
 def trapezoid_weights(grid: TimeGrid) -> np.ndarray:
     w = np.full(grid.n_steps + 1, grid.delta)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w[[0, -1]] *= 0.5
     return w
 
 
@@ -229,8 +228,8 @@ def _steer_cell(
     omega = trapezoid_weights(grid)
 
     traj, _ = asm.solve()
+    endpoint = traj.final
     if np.all(problem.control_gains == 0.0):
-        endpoint = traj.final
         err = float(np.linalg.norm(endpoint - target))
         zero = ControlSignal(grid, np.zeros((grid.n_steps + 1, problem.n_modes)))
         return SteeringResult(
@@ -244,7 +243,6 @@ def _steer_cell(
             stagnant=err > tol,
         )
 
-    endpoint = traj.final
     trace: list[float] = []
     for outer in range(1, max_outer + 1):
         source = _eval_source(problem, grid.nodes, traj.states)

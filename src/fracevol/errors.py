@@ -6,6 +6,7 @@ from __future__ import annotations
 
 __all__ = [
     "DomainError",
+    "SourceError",
     "ConfigError",
     "AdmissibilityError",
     "ConvergenceError",
@@ -15,6 +16,10 @@ __all__ = [
 
 class DomainError(ValueError):
     """An argument lies outside the domain an operation is defined on."""
+
+
+class SourceError(DomainError):
+    """The source term returned a misshapen or non-finite value."""
 
 
 class ConfigError(ValueError):

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import NEUMANN_TRUNC_TOL, SOLVE_MAX_ITER_DEFAULT, SOLVE_TOL_DEFAULT
-from .errors import AdmissibilityError, ConvergenceError, DomainError
+from .errors import AdmissibilityError, ConvergenceError, DomainError, SourceError
 from .fraccalc import ProductQuadrature, SampledFn, TimeGrid, _panel_moments
 from .fraccalc import singular_kernel_weights
 from .spectral import SpectralModel, decay_factors, ml_table
@@ -208,8 +208,7 @@ def check_H1(model: SpectralModel, alpha: float, coupling: NonlocalSpec) -> H1Re
     """
     if not (np.isfinite(alpha) and 0.0 < alpha <= 1.0):
         raise DomainError(f"order alpha={alpha!r} outside (0, 1]")
-    total = float(np.sum(np.abs(coupling.weights)))
-    margin = 1.0 - total
+    margin = 1.0 - float(np.sum(np.abs(coupling.weights)))
     return H1Report(margin > 0.0, margin)
 
 
@@ -255,19 +254,19 @@ def _kernel_rows(problem: ProblemSpec, grid: TimeGrid, t: float, kernel=None) ->
 def _eval_source(problem: ProblemSpec, times: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The Nemytskii operator: the source at every node, in one call.
 
-    A non-finite or misshapen result raises DomainError naming its first node.
+    A non-finite or misshapen result raises SourceError naming its first node.
     """
     if problem.nonlinearity is None:
         return np.zeros_like(states)
     out = np.asarray(problem.nonlinearity.fn(times, states), dtype=float)
     if out.shape != states.shape:
-        raise DomainError(
+        raise SourceError(
             f"source produced shape {out.shape} instead of {states.shape}, "
             f"starting at node 0, time t = {float(times[0])!r}"
         )
     if not np.isfinite(out).all():
         i = int(np.argmax(~np.all(np.isfinite(out), axis=1)))
-        raise DomainError(
+        raise SourceError(
             f"source produced a non-finite value at node {i}, time t = {float(times[i])!r}"
         )
     return out
@@ -344,7 +343,8 @@ def _fixed_point(
     ConvergenceError with both when max_iter updates do not get there,
     and fails fast when the iteration diverges: on a non-finite iterate,
     or after run_limit consecutive growing updates (see _transient_run).
-    A DomainError from the step comes back prefixed with its iteration.
+    A DomainError from the step comes back prefixed with its iteration,
+    of the same type.
     """
     if max_iter < 1:
         raise DomainError("max_iter must be positive")
@@ -356,7 +356,7 @@ def _fixed_point(
         try:
             u_next = step(u)
         except DomainError as exc:
-            raise DomainError(f"Picard iteration {k}: {exc}") from exc
+            raise type(exc)(f"Picard iteration {k}: {exc}") from exc
         diff = float(np.max(np.abs(u_next - u)))
         growing = growing + 1 if diffs and diff > diffs[-1] else 0
         diffs.append(diff)
@@ -574,7 +574,7 @@ def solve_mild(
     (the control module uses it to probe the solution map with arbitrary
     forcing).  Stops when the sup-norm update falls to tol; raises
     ConvergenceError carrying the observed contraction ratio otherwise,
-    and DomainError naming the Picard iteration, node and time where the
+    and SourceError naming the Picard iteration, node and time where the
     source turned non-finite.  To solve repeatedly on one grid, build a
     ResponseAssembly once and call its solve.
     """

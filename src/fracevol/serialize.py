@@ -42,10 +42,8 @@ def write_trajectory(path: str, traj: Trajectory) -> None:
         f"# n_modes {n_modes}",
         "# columns t " + " ".join(f"u_{m + 1}" for m in range(n_modes)),
     ]
-    for i, t in enumerate(grid.nodes):
-        row = [format_float(t)]
-        row.extend(format_float(v) for v in traj.states[i])
-        lines.append(" ".join(row))
+    for t, state in zip(grid.nodes, traj.states):
+        lines.append(" ".join(map(format_float, [t, *state])))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -64,8 +62,7 @@ def read_trajectory(path: str) -> Trajectory:
     that contradicts the declared grid.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise ConfigError(f"trajectory file {path} is empty")
     if lines[0] != _TRAJECTORY_MAGIC:
@@ -81,9 +78,7 @@ def read_trajectory(path: str) -> Trajectory:
     _header_value(lines[4], "columns")
     rows = lines[5:]
     if len(rows) != n_steps + 1:
-        raise ConfigError(
-            f"expected {n_steps + 1} data rows, found {len(rows)}"
-        )
+        raise ConfigError(f"expected {n_steps + 1} data rows, found {len(rows)}")
     grid = TimeGrid(horizon, n_steps)
     states = np.empty((n_steps + 1, n_modes))
     for i, row in enumerate(rows):
@@ -96,9 +91,7 @@ def read_trajectory(path: str) -> Trajectory:
         except ValueError as exc:
             raise ConfigError(f"row {i}: {exc}") from exc
         if abs(t - grid.nodes[i]) > 1e-12 * max(1.0, horizon):
-            raise ConfigError(
-                f"row {i}: time {t} does not sit on the declared grid"
-            )
+            raise ConfigError(f"row {i}: time {t} does not sit on the declared grid")
     if not np.all(np.isfinite(states)):
         raise ConfigError("trajectory contains non-finite values")
     return Trajectory(grid, states)
@@ -123,34 +116,20 @@ def write_reachability_table(path: str, table: ReachabilityTable) -> None:
         "# columns target_index rho endpoint_error control_energy outer_iterations",
     ]
     for tid, rho, err, energy, outers in table.rows:
-        lines.append(
-            " ".join(
-                [
-                    str(tid),
-                    format_float(rho),
-                    format_float(err),
-                    format_float(energy),
-                    str(outers),
-                ]
-            )
-        )
+        floats = " ".join(map(format_float, (rho, err, energy)))
+        lines.append(f"{tid} {floats} {outers}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def render_verification(report: VerificationReport, eq_tol: float, pin_tol: float) -> tuple[str, bool]:
     """Residual summary text plus the pass verdict against the given tolerances."""
-    passed = (
-        report.equation_residual <= eq_tol
-        and report.nonlocal_residual <= pin_tol
-    )
-    text = "\n".join(
-        [
-            f"equation_residual {format_float(report.equation_residual)}",
-            f"nonlocal_residual {format_float(report.nonlocal_residual)}",
-            f"equation_tolerance {format_float(eq_tol)}",
-            f"pinning_tolerance {format_float(pin_tol)}",
-            "result " + ("pass" if passed else "fail"),
-        ]
-    )
-    return text, passed
+    passed = report.equation_residual <= eq_tol and report.nonlocal_residual <= pin_tol
+    lines = [
+        f"equation_residual {format_float(report.equation_residual)}",
+        f"nonlocal_residual {format_float(report.nonlocal_residual)}",
+        f"equation_tolerance {format_float(eq_tol)}",
+        f"pinning_tolerance {format_float(pin_tol)}",
+        "result " + ("pass" if passed else "fail"),
+    ]
+    return "\n".join(lines), passed

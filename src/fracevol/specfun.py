@@ -112,18 +112,17 @@ def _rgamma(x):
     0 at the poles 0, -1, -2, ... and above about 171.6, where Gamma
     overflows; a signed inf below about -171.5, where Gamma underflows.
     """
-    if np.ndim(x):
-        return np.array([_rgamma(v) for v in np.asarray(x, dtype=float).tolist()])
-    x = float(x)
-    if 0.0 < x < 1e-300:
-        # Gamma(x) overflows; 1/Gamma(x) = x / Gamma(1 + x) = x in float64
-        return x
-    try:
-        g = math.gamma(x)
-    except (OverflowError, ValueError):
-        return 0.0
-    # a signed subnormal or zero Gamma has a reciprocal of inf of its sign
-    return math.copysign(math.inf, g) if g == 0.0 else 1.0 / g
+    x = np.asarray(x, dtype=float)
+    out = []
+    for v in x.ravel().tolist():
+        try:
+            g = math.gamma(v)
+        except (OverflowError, ValueError):
+            g = math.inf
+        # below 1e-300 Gamma overflows and 1/Gamma(v) = v / Gamma(1 + v) = v;
+        # a signed subnormal or zero Gamma has a reciprocal of inf of its sign
+        out.append(v if 0.0 < v < 1e-300 else 1.0 / g if g else math.copysign(math.inf, g))
+    return np.array(out).reshape(x.shape) if x.ndim else out[0]
 
 
 def _row_blocks(n_rows: int, width: int):
@@ -220,14 +219,25 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.nd
     return value, est
 
 
+def _first_growth(mag: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Per row, the first column j >= 1 with mag[j] > prev[j - 1], else all."""
+    grows = mag[:, 1:] > prev
+    return np.where(grows.any(axis=1), grows.argmax(axis=1) + 1, _TAIL_TERMS)
+
+
 def _tail_expansion(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expansion in 1/z for z << 0, each row truncated at its smallest term.
 
     Term k is -z**-k / Gamma(beta - alpha k), k = 1 .. 199.  A row stops
     before the first term (k > 1) that outgrows the last nonzero one; the
     omitted term, or the last one if none outgrows, is the error
-    estimate's truncation part.  A coefficient whose argument lies within
-    rounding of a pole of 1/Gamma is exactly 0, so it never stops a row.
+    estimate's truncation part.  A coefficient within rounding of a pole
+    of 1/Gamma, or whose Gamma overflows, is exactly 0: its column is dead
+    in every row.  Other zeros lie where z**-k has underflowed, so each
+    column is compared with the last live column before it.  Above beta =
+    165 or so a live term can underflow to 0 mid-row; a row that stops on
+    outgrowing such a 0 is rescanned through its own last nonzero term.  A
+    dead term is nan where z**-k overflows, and both rules keep it.
     """
     k = np.arange(1, _TAIL_TERMS + 1, dtype=float)
     arg = beta - alpha * k
@@ -238,6 +248,9 @@ def _tail_expansion(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarra
     pole = np.round(arg)
     neg_rgamma[(pole <= 0.0) & (np.abs(arg - pole) <= 4.0 * _EPS * (beta + alpha * k))] = 0.0
     col = np.arange(_TAIL_TERMS)
+    # before[j - 1]: the last live column before column j, else j itself
+    before = np.maximum.accumulate(np.where(neg_rgamma != 0.0, col, -1))
+    before = np.where(before >= 0, before, col + 1)
     value = np.empty(z.size)
     est = np.empty(z.size)
     for rows in _row_blocks(z.size, _TAIL_TERMS + 1):
@@ -247,12 +260,15 @@ def _tail_expansion(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarra
         chain[:, 1:] = z[rows, None]
         terms = np.divide.accumulate(chain, axis=1)[:, 1:] * neg_rgamma
         mag = np.abs(terms)
-        # magnitude of the last nonzero term up to each column (inf before any)
-        last_nz = np.maximum.accumulate(np.where(mag != 0.0, col, -1), axis=1)
-        prev = np.take_along_axis(mag, np.maximum(last_nz, 0), axis=1)
-        prev[last_nz < 0] = math.inf
-        grows = mag[:, 1:] > prev[:, :-1]
-        stop = np.where(grows.any(axis=1), grows.argmax(axis=1) + 1, _TAIL_TERMS)
+        stop = _first_growth(mag, mag[:, before[:-1]])
+        # a stop on outgrowing an underflowed live term: rescan that row
+        cut = np.flatnonzero(stop < _TAIL_TERMS)
+        odd = cut[mag[cut, before[stop[cut] - 1]] == 0.0]
+        if odd.size:
+            m = mag[odd]
+            last_nz = np.maximum.accumulate(np.where(m != 0.0, col, -1), axis=1)
+            prev = np.take_along_axis(m, np.where(last_nz >= 0, last_nz, col + 1)[:, :-1], axis=1)
+            stop[odd] = _first_growth(m, prev)
         kept = col < stop[:, None]
         total = np.where(kept, terms, 0.0).sum(axis=1)
         abssum = np.where(kept, mag, 0.0).sum(axis=1)

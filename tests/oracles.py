@@ -4,10 +4,12 @@ Everything here is computed with mpmath at adaptive precision, through
 routes that do not share code with the package: the defining power
 series, high-precision quadrature of defining integrals, and term-wise
 integrated series.  Floats are promoted to mpf before any arithmetic so
-the oracle evaluates the same binary inputs the implementation sees.  The
-one float64 reference, product_quadrature_direct, is the product
+the oracle evaluates the same binary inputs the implementation sees.  Two
+references are float64: product_quadrature_direct, the product
 quadrature's direct O(n**2) sum, which the package's FFT evaluation is
-checked against.  The product-trapezoid weights and sums
+checked against, and tail_expansion_reference, the Mittag-Leffler tail
+expansion with a per-row stop scan, which the package's must match bit
+for bit.  The product-trapezoid weights and sums
 (panel_moments and its users) take the power's panel moments from the
 antiderivatives at 40 digits, which their cancellation leaves over 30.
 
@@ -281,6 +283,52 @@ def product_quadrature_direct(weights, correction, table, values):
             terms = kap[i::-1, m] * vals[: i + 1, m]
             out[i, m] = math.fsum(list(terms) + [-corr[i, m] * vals[0, m]])
     return out
+
+
+def tail_expansion_reference(alpha: float, beta: float, z):
+    """The tail expansion of the Mittag-Leffler function, by a per-row scan.
+
+    ``specfun._tail_expansion`` as it was before each row's stop came from
+    the live-coefficient columns: every row finds the last nonzero term
+    before each column with its own running maximum over column indices.
+    Returns the same (values, relative error estimates), which the package
+    must match bit for bit.  It shares the package's 1/Gamma, term count,
+    epsilon and row blocks; a row's bits do not depend on the blocks.
+    """
+    import numpy as np
+    from fracevol.specfun import _EPS, _TAIL_TERMS, _rgamma, _row_blocks
+
+    k = np.arange(1, _TAIL_TERMS + 1, dtype=float)
+    arg = beta - alpha * k
+    neg_rgamma = -_rgamma(arg)
+    # an argument within rounding of a pole stands for the pole itself:
+    # its 1/Gamma is 0, not a rounding-sized live term that would stop
+    # the row early
+    pole = np.round(arg)
+    neg_rgamma[(pole <= 0.0) & (np.abs(arg - pole) <= 4.0 * _EPS * (beta + alpha * k))] = 0.0
+    col = np.arange(_TAIL_TERMS)
+    value = np.empty(z.size)
+    est = np.empty(z.size)
+    for rows in _row_blocks(z.size, _TAIL_TERMS + 1):
+        # z**-k as 1 / z / z / ... / z, one division per term
+        chain = np.empty((z[rows].size, _TAIL_TERMS + 1))
+        chain[:, 0] = 1.0
+        chain[:, 1:] = z[rows, None]
+        terms = np.divide.accumulate(chain, axis=1)[:, 1:] * neg_rgamma
+        mag = np.abs(terms)
+        # magnitude of the last nonzero term up to each column (inf before any)
+        last_nz = np.maximum.accumulate(np.where(mag != 0.0, col, -1), axis=1)
+        prev = np.take_along_axis(mag, np.maximum(last_nz, 0), axis=1)
+        prev[last_nz < 0] = math.inf
+        grows = mag[:, 1:] > prev[:, :-1]
+        stop = np.where(grows.any(axis=1), grows.argmax(axis=1) + 1, _TAIL_TERMS)
+        kept = col < stop[:, None]
+        total = np.where(kept, terms, 0.0).sum(axis=1)
+        abssum = np.where(kept, mag, 0.0).sum(axis=1)
+        omitted = mag[np.arange(mag.shape[0]), np.minimum(stop, _TAIL_TERMS - 1)]
+        value[rows] = total
+        est[rows] = (omitted + _EPS * abssum) / np.maximum(np.abs(total), 1e-300)
+    return value, est
 
 
 @functools.lru_cache(maxsize=None)

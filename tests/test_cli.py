@@ -239,6 +239,21 @@ def test_simulate_diverging_source_exits_4_early(tmp_path):
     assert iterations < 20
 
 
+def test_simulate_overflowing_source_exits_7(tmp_path):
+    # the second Picard step feeds a state near 1000 to a gain of 1e308:
+    # the source overflows, which is its own failure, not a usage error
+    cfg = tmp_path / "overflow.ini"
+    text = SMALL.replace("nonlinearity = none", "nonlinearity = gains\ngains = 1e308 1e308")
+    cfg.write_text(text.replace("forcing = 0.3 0.1", "forcing = 1000 1000"))
+    out = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert out.returncode == 7
+    assert out.stderr.splitlines()[-1] == (
+        "source error: Picard iteration 2: source produced a non-finite value "
+        "at node 0, time t = 0.0"
+    )
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_steer_sweep_outputs_table(tmp_path):
     cfg = tmp_path / "steer.ini"
     cfg.write_text(SMALL_STEER)

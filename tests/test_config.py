@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracevol import config
 from fracevol.config import (
@@ -14,6 +16,12 @@ from fracevol.config import (
     load_config,
     normalize_config,
     parse_config,
+)
+from fracevol.constants import (
+    SOLVE_MAX_ITER_DEFAULT,
+    SOLVE_TOL_DEFAULT,
+    STEER_MAX_OUTER_DEFAULT,
+    STEER_TOL_DEFAULT,
 )
 from fracevol.errors import ConfigError
 
@@ -162,6 +170,85 @@ def test_normal_form_round_trip():
     for text in (MINIMAL, FULL):
         cfg = parse_config(text)
         assert parse_config(normalize_config(cfg)) == cfg
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TOLERANCE = st.floats(0.0, 1e300, exclude_min=True)
+BUDGET = st.integers(1, 10**9)
+
+
+def _vector(n):
+    return st.lists(FINITE, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def run_configs(draw):
+    """A valid RunConfig: every key of config._KEYS may be drawn, and the
+    optional [solver] and [experiment] sections may keep their defaults."""
+    n_modes = draw(st.integers(1, 4))
+    rule = draw(st.sampled_from(["dirichlet", "explicit"]))
+    values = None
+    if rule == "explicit":
+        rate = st.floats(0.0, 1e300, exclude_min=True)
+        rates = draw(st.lists(rate, min_size=n_modes, max_size=n_modes, unique=True))
+        values = tuple(sorted(rates))
+    horizon = draw(st.floats(1e-6, 1e6))
+    times = draw(st.lists(st.floats(0.0, horizon, exclude_min=True), max_size=3, unique=True))
+    nonlinearity = draw(st.sampled_from(["none", "demo_sin", "gains"]))
+    fields = dict(
+        rule=rule,
+        n_modes=n_modes,
+        model_values=values,
+        alpha=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        horizon=horizon,
+        coupling_weights=draw(_vector(len(times))),
+        coupling_times=tuple(sorted(times)),
+        kappa=draw(_vector(draw(st.sampled_from([1, n_modes])))),
+        forcing=draw(st.none() | _vector(n_modes)),
+        nonlinearity=nonlinearity,
+        gains=draw(_vector(n_modes)) if nonlinearity == "gains" else None,
+        n_steps=draw(st.integers(1, 10**6)),
+        tol=SOLVE_TOL_DEFAULT,
+        max_iter=SOLVE_MAX_ITER_DEFAULT,
+        verify_equation_tol=config.VERIFY_EQUATION_TOL_DEFAULT,
+        verify_pinning_tol=config.VERIFY_PINNING_TOL_DEFAULT,
+        targets=(),
+        rhos=(),
+        steer_tol=STEER_TOL_DEFAULT,
+        max_outer=STEER_MAX_OUTER_DEFAULT,
+    )
+    absent = []
+    if draw(st.booleans()):
+        fields.update(
+            tol=draw(TOLERANCE),
+            max_iter=draw(BUDGET),
+            verify_equation_tol=draw(TOLERANCE),
+            verify_pinning_tol=draw(TOLERANCE),
+        )
+    else:
+        absent.append("solver")
+    if draw(st.booleans()):
+        rhos = draw(st.lists(TOLERANCE, min_size=1, max_size=4, unique=True))
+        fields.update(
+            targets=tuple(draw(st.lists(_vector(n_modes), min_size=1, max_size=3))),
+            rhos=tuple(sorted(rhos, reverse=True)),
+            steer_tol=draw(TOLERANCE),
+            max_outer=draw(BUDGET),
+        )
+    else:
+        absent.append("experiment")
+    return config.RunConfig(**fields), absent
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(drawn=run_configs())
+def test_normal_form_round_trips_generated_configs(drawn):
+    cfg, absent = drawn
+    text = normalize_config(cfg)
+    assert parse_config(text) == cfg
+    # an optional section left at its defaults may be left out altogether
+    blocks = [b for b in text.split("\n\n") if b.split("]")[0][1:] not in absent]
+    assert parse_config("\n\n".join(blocks)) == cfg
 
 
 def test_bundled_configs_parse_and_round_trip():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fracevol.constants import NEUMANN_CLOSED_FORM_TOL, SOLVE_MAX_ITER_DEFAULT
-from fracevol.errors import AdmissibilityError, ConvergenceError, DomainError
+from fracevol.errors import AdmissibilityError, ConvergenceError, DomainError, SourceError
 from fracevol.fraccalc import SampledFn, TimeGrid, singular_convolution_at
 from fracevol.greens import (
     Nonlinearity,
@@ -551,6 +551,26 @@ def test_a_source_error_names_its_picard_iteration():
     with pytest.raises(DomainError, match="^Picard iteration 3: " + NAN_MESSAGE):
         solve_mild(_broken_source_problem(late_nan), grid, raw_forcing=forcing)
     assert len(calls) == 3
+
+
+def test_a_source_error_keeps_its_type_through_the_picard_prefix():
+    # SourceError is a DomainError; the iteration prefix must not turn it
+    # back into a plain one, or the CLI could not give it its own exit code
+    calls = []
+
+    def late_nan(t, u):
+        calls.append(t)
+        return _nan_from_half(t, u) if len(calls) > 1 else 0.1 * u
+
+    grid = TimeGrid(1.0, 16)
+    forcing = SampledFn(grid, 0.3 * np.ones((17, 4)))
+    with pytest.raises(SourceError, match="^Picard iteration 2: " + NAN_MESSAGE) as caught:
+        solve_mild(_broken_source_problem(late_nan), grid, raw_forcing=forcing)
+    assert type(caught.value) is SourceError
+    # outside a solve it comes unprefixed
+    with pytest.raises(SourceError, match="^" + SHAPE_MESSAGE):
+        traj = Trajectory(grid, np.zeros((17, 4)))
+        verify_mild(_broken_source_problem(lambda t, u: u[..., :2]), traj)
 
 
 def test_an_assembly_evaluates_the_zero_state_source_once():

@@ -409,6 +409,36 @@ def test_series_drops_no_row_off_the_completely_monotone_range(alpha, beta, sign
     assert np.isfinite(est).all()
 
 
+# alpha = beta = 0.2 puts coefficients within rounding of poles of 1/Gamma;
+# above beta = 165 or so 1/Gamma is subnormal and a live term can underflow
+# to 0 in the middle of a row
+TAIL_PARAMS = st.one_of(
+    st.just((0.2, 0.2)),
+    st.tuples(st.floats(0.0, 2.0, exclude_min=True), st.floats(165.0, 250.0)),
+    st.tuples(st.floats(0.0, 2.0, exclude_min=True), st.floats(0.0, 250.0, exclude_min=True)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    params=TAIL_PARAMS,
+    shift=st.floats(0.0, 1.0),
+    small=st.lists(st.floats(-12.0, 0.0), max_size=16),
+)
+def test_tail_expansion_matches_the_per_row_scan(params, shift, small):
+    # X = |z|**(1/alpha) in [34, 5000], where _evaluate sends points below
+    # the band around alpha = 1, plus |z| in [e**-12, 1]
+    alpha, beta = params
+    log_x = np.linspace(math.log(34.0), math.log(5000.0), 161)
+    log_x = log_x[:-1] + shift * (log_x[1] - log_x[0])
+    z = -np.concatenate([np.exp(alpha * log_x), np.exp(small)])
+    with np.errstate(all="ignore"):
+        got = specfun._tail_expansion(alpha, beta, z)
+        ref = oracles.tail_expansion_reference(alpha, beta, z)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
 def test_ml_array_bits_do_not_depend_on_block_size(monkeypatch):
     rng = np.random.default_rng(7)
     z = np.concatenate([-rng.uniform(0.0, 60.0, 4000), rng.uniform(0.0, 5.0, 200)])

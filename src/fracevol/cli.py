@@ -8,7 +8,8 @@ Commands:
 
 Exit codes: 0 success, 2 usage or config error, 3 inadmissible coupling,
 4 non-convergence, 5 unsupported regime, 6 verification failure, 7 bad
-source term.  All output is deterministic.
+source term, also a finite one whose response overflows (the source, not
+the iteration, is at fault there).  All output is deterministic.
 """
 
 from __future__ import annotations

@@ -353,11 +353,12 @@ def _fixed_point(
     diffs: list[float] = []
     growing = 0
     for k in range(1, max_iter + 1):
-        try:
-            u_next = step(u)
-        except DomainError as exc:
-            raise type(exc)(f"Picard iteration {k}: {exc}") from exc
-        diff = float(np.max(np.abs(u_next - u)))
+        with np.errstate(all="ignore"):  # overflow fails a check, not as a warning
+            try:
+                u_next = step(u)
+            except DomainError as exc:
+                raise type(exc)(f"Picard iteration {k}: {exc}") from exc
+            diff = float(np.max(np.abs(u_next - u)))
         growing = growing + 1 if diffs and diff > diffs[-1] else 0
         diffs.append(diff)
         u = u_next
@@ -496,6 +497,10 @@ class ResponseAssembly:
             source = self._zero_source if u is zero else _eval_source(problem, grid.nodes, u)
             forcing = base + source
             response = self.response(forcing)
+            if not np.isfinite(response).all() and np.abs(source).max() > np.abs(base).max():
+                # the source outweighs the forcing: it failed, not the iteration
+                sup = float(np.max(np.abs(source)))
+                raise SourceError(f"the response to a finite source (sup {sup:.3g}) is non-finite")
             return response if n is None else response + source / n
 
         identity_share = 0.0 if n is None else 1.0 / n

@@ -10,22 +10,21 @@ and sums every row on its own, so a point's value does not depend on the
 other points in the batch, nor on the block size.
 Exact closed forms serve (alpha, beta) in {1, 2} x {1, 2}, the power
 series (a term matrix) nonnegative z.  For z < 0 and 0 < alpha < 1 - 1e-4
-the series peak X = |z|**(1/alpha) splits the axis into two bands:
+the series peak X = |z|**(1/alpha) decides the chain:
 
-* X <= ``_SERIES_CANCEL_LIMIT`` (34): the series (gate
+* X <= ``_SERIES_CANCEL_LIMIT`` (34) tries the series first (gate
   ``ML_TAYLOR_ACCEPT``; a row whose terms already prove it must miss that
-  gate stops early, see ``_series_doom``), then the branch cut, then the
-  series summed in extended precision (below; 45 digits at most), since
-  ``quad`` misses these too when alpha is near 1 and beta is neither 1
-  nor alpha;
-* X > 34: the tail expansion in powers of 1/z, each row truncated at its
-  own smallest term (gate ``ML_ASYMP_ACCEPT``), then the branch cut, then
-  adaptive quadrature (scipy's ``quad``, imported only then).
+  gate stops early, see ``_series_doom``);
+* every point left tries the branch cut (gate ``ML_ASYMP_ACCEPT``);
+* its misses with X > 34 try the tail expansion in powers of 1/z, each
+  row truncated at its own smallest term (same gate), then adaptive
+  quadrature (scipy's ``quad``, imported only then); those with X <= 34
+  the series in extended precision (below; 45 digits at most), as
+  ``quad`` misses them too when alpha is near 1 and beta is not 1 or alpha.
 
 The branch cut (collapsed Hankel contour, Gorenflo, Loutchko & Luchko) is
-a tanh-sinh rule on [0, |z|] plus an exp-sinh rule on [|z|, inf); step h
-against step 2h on the nested nodes is its error estimate (gate
-``ML_ASYMP_ACCEPT``).
+a tanh-sinh rule on [0, |z|] plus an exp-sinh rule on [|z|, inf), summed
+progressively: step 2h against 4h, then h against 2h on rows that miss.
 
 For alpha > 1 the branch-cut route is unavailable (the integrand picks up
 a non-integrable ridge), so a negative point tries the series (X <= 34),
@@ -71,8 +70,8 @@ _EXP_OVERFLOW = 705.0
 _BLOCK_ELEMS = 1 << 14
 # terms of the tail expansion before its truncation
 _TAIL_TERMS = 199
-# step of the finer double-exponential rule; the coarser takes every
-# second node
+# step h of the finest double-exponential rule; the coarser ones take
+# every second and every fourth node
 _DE_STEP = 1.0 / 64.0
 # the rule's left end in the scaled variable is exp(-_DE_REACH), short of
 # underflow; a share exp(-_DE_DEAD) of the integral's mass counts as dead
@@ -325,7 +324,10 @@ def _branch_cut_nodes(alpha: float, b: float):
     w_es = 0.5 * math.pi * np.cosh(s) * off
 
     sa = math.sin(math.pi * (1.0 - b))
-    sb = math.sin(math.pi * (1.0 - b + alpha))
+    # sin(pi (1 - b + alpha)) as sin(pi (b - alpha)) within 0.1 of b = alpha, exactly
+    # 0 there: sin(pi) = 1.2e-16 put a relative error of about 1.2e-16 |z| / sa
+    # into the value (7e-11 at alpha = 0.99989, z = -200); further out both round alike
+    sb = math.sin(math.pi * (b - alpha if abs(b - alpha) < 0.1 else 1.0 - b + alpha))
     ca = math.cos(math.pi * alpha)
     # a**2 + 2 a cos(pi alpha) + 1 as a sum of squares, which keeps its
     # relative accuracy at the ridge a = -cos(pi alpha) when alpha -> 1
@@ -351,25 +353,33 @@ def _branch_cut(alpha: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.n
 
     Double-exponential rule (Takahasi & Mori) on the integral
     representation of Gorenflo, Loutchko & Luchko.  Returns (values,
-    relative error estimates): |S_h - S_2h| plus the size of the end
-    terms, over |S_h|.
+    relative error estimates).  Every row takes S_2h, estimated by |S_2h -
+    S_4h| (every second node of each piece), h times the end terms and eps
+    times the term magnitudes (rounding that S_4h shares), over |S_2h|.  A
+    row missing ML_ASYMP_ACCEPT adds the odd nodes and takes S_h, with
+    |S_h - S_2h| plus the end terms, over |S_h|.
     """
     h = _DE_STEP
     A_even, c_even, A_odd, c_odd, ends = _branch_cut_nodes(alpha, b)
     x = -z
     X = x ** (1.0 / alpha)
-    even = np.empty(z.size)
-    odd = np.empty(z.size)
-    edge = np.empty(z.size)
+    even, quarter, edge, mass = np.empty((4, z.size))
     for rows in _row_blocks(z.size, A_even.size):
         p = np.exp(-X[rows, None] * A_even) * c_even
         even[rows] = p.sum(axis=1)
+        quarter[rows] = p[:, ::2].sum(axis=1)
         edge[rows] = np.abs(p[:, ends]).sum(axis=1)
-        odd[rows] = (np.exp(-X[rows, None] * A_odd) * c_odd).sum(axis=1)
-    fine = h * (even + odd)
-    coarse = 2.0 * h * even
-    est = (np.abs(fine - coarse) + h * edge) / np.abs(fine)
-    return x ** ((1.0 - b) / alpha) * fine, est
+        mass[rows] = np.abs(p).sum(axis=1)
+    value = 2.0 * h * even
+    est = (np.abs(value - 4.0 * h * quarter) + h * edge + 2.0 * h * _EPS * mass) / np.abs(value)
+    miss = np.flatnonzero(~(est <= ML_ASYMP_ACCEPT))
+    odd = np.empty(miss.size)
+    for rows in _row_blocks(miss.size, A_odd.size):
+        odd[rows] = (np.exp(-X[miss[rows], None] * A_odd) * c_odd).sum(axis=1)
+    fine = h * (even[miss] + odd)
+    est[miss] = (np.abs(fine - value[miss]) + h * edge[miss]) / np.abs(fine)
+    value[miss] = fine
+    return x ** ((1.0 - b) / alpha) * value, est
 
 
 def _branch_cut_quad(alpha: float, b: float, z: float) -> float:
@@ -377,7 +387,7 @@ def _branch_cut_quad(alpha: float, b: float, z: float) -> float:
     from scipy.integrate import quad
 
     sa = math.sin(math.pi * (1.0 - b))
-    sb = math.sin(math.pi * (1.0 - b + alpha))
+    sb = math.sin(math.pi * (b - alpha if abs(b - alpha) < 0.1 else 1.0 - b + alpha))
     ca = math.cos(math.pi * alpha)
     x = -z
     inv_alpha = 1.0 / alpha
@@ -425,6 +435,22 @@ def _extended_precision_series(alpha: float, beta: float, z: float) -> float:
         return float(s)
 
 
+def _tail(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tail-expansion values, and which of them pass ML_ASYMP_ACCEPT."""
+    if not z.size:
+        return z, np.zeros(0, dtype=bool)
+    value, est = _tail_expansion(alpha, beta, z)
+    if abs(alpha - 1.0) <= _NEAR_ONE:
+        # the expansion drops the contribution of the poles s**alpha = z,
+        # next to the negative axis here: 2 x**(1 - beta) exp(x cos(pi/alpha))
+        # / alpha at most, x = |z|**(1/alpha), invisible to its truncation
+        # estimate
+        x = (-z) ** (1.0 / alpha)
+        pole = 2.0 * x ** (1.0 - beta) * np.exp(x * math.cos(math.pi / alpha)) / alpha
+        est = est + pole / np.abs(value)
+    return value, (est <= ML_ASYMP_ACCEPT) & (value != 0.0)
+
+
 def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """Route every point of the 1-D array z; see the module docstring."""
     closed = _closed_form(alpha, beta, z)
@@ -438,48 +464,36 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     out[pos[huge]] = math.inf
     out[pos[~huge]] = _series(alpha, beta, z[pos[~huge]])[0]
 
-    # z < 0: the cheap float64 routes first, each behind its own gate
+    # z < 0: the series first where it can pass its gate
     rest = np.flatnonzero(z < 0.0)
     near = np.abs(z[rest]) ** (1.0 / alpha) <= _SERIES_CANCEL_LIMIT
     value, est = _series(alpha, beta, z[rest[near]])
     ok = np.zeros(rest.size, dtype=bool)
     ok[near] = est <= ML_TAYLOR_ACCEPT
     out[rest[ok]] = value[ok[near]]
-
-    # below the band around alpha = 1 only X > 34 tries the tail expansion
-    tail = ~ok if alpha >= 1.0 - _NEAR_ONE else ~near
-    value, est = _tail_expansion(alpha, beta, z[rest[tail]])
-    if abs(alpha - 1.0) <= _NEAR_ONE:
-        # the expansion drops the contribution of the poles s**alpha = z,
-        # next to the negative axis here: 2 x**(1 - beta) exp(x cos(pi/alpha))
-        # / alpha at most, x = |z|**(1/alpha), invisible to its truncation
-        # estimate
-        x = (-z[rest[tail]]) ** (1.0 / alpha)
-        pole = 2.0 * x ** (1.0 - beta) * np.exp(x * math.cos(math.pi / alpha)) / alpha
-        est = est + pole / np.abs(value)
-    ok[tail] = (est <= ML_ASYMP_ACCEPT) & (value != 0.0)
-    out[rest[ok & tail]] = value[ok[tail]]
-    rest = rest[~ok]
+    near, rest = near[~ok], rest[~ok]
     if not rest.size:
         return out
 
     if alpha >= 1.0 - _NEAR_ONE:
-        out[rest] = [_extended_precision_series(alpha, beta, float(q)) for q in z[rest]]
+        value, ok = _tail(alpha, beta, z[rest])
+        out[rest[ok]] = value[ok]
+        out[rest[~ok]] = [_extended_precision_series(alpha, beta, float(q)) for q in z[rest[~ok]]]
         return out
     b, shifts = _reduce_beta(alpha, beta)
     zr = z[rest]
     value, est = _branch_cut(alpha, b, zr)
-    # the last float64 route answers to the tighter of the two gates;
-    # |S_h - S_2h| measures the coarser rule's error, so it also errs on
-    # the safe side for the finer one
-    missed = np.flatnonzero(~(est <= ML_ASYMP_ACCEPT))
-    summed = np.abs(zr[missed]) ** (1.0 / alpha) <= _SERIES_CANCEL_LIMIT
-    for i in missed[~summed]:
+    # misses past the series band: the tail expansion, then adaptive quadrature
+    missed = ~(est <= ML_ASYMP_ACCEPT)
+    far = np.flatnonzero(missed & ~near)
+    tail_value, tail_ok = _tail(alpha, beta, zr[far])
+    for i in far[~tail_ok]:
         value[i] = _branch_cut_quad(alpha, b, float(zr[i]))
     for bb in reversed(shifts):
         value = (value - _rgamma(bb)) / zr
+    value[far[tail_ok]] = tail_value[tail_ok]
     # a missed point of mild cancellation: at most 45 digits, with beta itself
-    for i in missed[summed]:
+    for i in np.flatnonzero(missed & near):
         value[i] = _extended_precision_series(alpha, beta, float(zr[i]))
     out[rest] = value
     return out

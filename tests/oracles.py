@@ -9,7 +9,8 @@ references are float64: product_quadrature_direct, the product
 quadrature's direct O(n**2) sum, which the package's FFT evaluation is
 checked against, and tail_expansion_reference, the Mittag-Leffler tail
 expansion with a per-row stop scan, which the package's must match bit
-for bit.  The product-trapezoid weights and sums
+for bit.  branch_cut_reference, the Mittag-Leffler branch-cut rule summed
+at step h on every row, is float64 too.  The product-trapezoid weights and sums
 (panel_moments and its users) take the power's panel moments from the
 antiderivatives at 40 digits, which their cancellation leaves over 30.
 
@@ -329,6 +330,36 @@ def tail_expansion_reference(alpha: float, beta: float, z):
         value[rows] = total
         est[rows] = (omitted + _EPS * abssum) / np.maximum(np.abs(total), 1e-300)
     return value, est
+
+
+def branch_cut_reference(alpha: float, b: float, z):
+    """The branch-cut rule of the Mittag-Leffler function at step h on every row.
+
+    ``specfun._branch_cut`` as it was before it summed progressively: every
+    row adds the even and the odd nodes, answers with S_h and estimates
+    |S_h - S_2h| plus h times the end terms, over |S_h|.  It takes the
+    package's nodes and row blocks, so it differs from ``_branch_cut`` only
+    in which rule answers and how that rule is estimated.
+    """
+    import numpy as np
+    from fracevol.specfun import _DE_STEP, _branch_cut_nodes, _row_blocks
+
+    h = _DE_STEP
+    A_even, c_even, A_odd, c_odd, ends = _branch_cut_nodes(alpha, b)
+    x = -z
+    X = x ** (1.0 / alpha)
+    even = np.empty(z.size)
+    odd = np.empty(z.size)
+    edge = np.empty(z.size)
+    for rows in _row_blocks(z.size, A_even.size):
+        p = np.exp(-X[rows, None] * A_even) * c_even
+        even[rows] = p.sum(axis=1)
+        edge[rows] = np.abs(p[:, ends]).sum(axis=1)
+        odd[rows] = (np.exp(-X[rows, None] * A_odd) * c_odd).sum(axis=1)
+    fine = h * (even + odd)
+    coarse = 2.0 * h * even
+    est = (np.abs(fine - coarse) + h * edge) / np.abs(fine)
+    return x ** ((1.0 - b) / alpha) * fine, est
 
 
 @functools.lru_cache(maxsize=None)

@@ -254,6 +254,31 @@ def test_simulate_overflowing_source_exits_7(tmp_path):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize(
+    "forcing,line",
+    [
+        # finite source of about 3e307 whose response overflows
+        ("0.3 0.1", "source error: Picard iteration 2: the response to a finite source "
+                    "(sup 1.93e+307) is non-finite"),
+        # the source itself overflows
+        ("1000 1000", "source error: Picard iteration 2: source produced a non-finite value "
+                      "at node 0, time t = 0.0"),
+    ],
+)
+def test_simulate_huge_source_fails_with_one_line_and_no_warning(tmp_path, forcing, line):
+    cfg = tmp_path / "huge.ini"
+    text = SMALL.replace("nonlinearity = none", "nonlinearity = gains\ngains = 1e308 1e308")
+    cfg.write_text(text.replace("forcing = 0.3 0.1", "forcing = " + forcing))
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracevol.cli",
+         "simulate", "--config", str(cfg), "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 7
+    assert out.stderr.splitlines() == [line]
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_steer_sweep_outputs_table(tmp_path):
     cfg = tmp_path / "steer.ini"
     cfg.write_text(SMALL_STEER)

@@ -573,6 +573,17 @@ def test_a_source_error_keeps_its_type_through_the_picard_prefix():
         verify_mild(_broken_source_problem(lambda t, u: u[..., :2]), traj)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_finite_source_whose_response_overflows_is_a_source_error():
+    # gain 1e308 keeps the source finite at Picard iteration 2 (about
+    # 3e307), but the product quadrature overflows on it; no numpy warning
+    # may escape the step
+    grid = TimeGrid(1.0, 16)
+    message = r"^Picard iteration 2: the response to a finite source \(sup [0-9.]+e\+307\) is non-finite$"
+    with pytest.raises(SourceError, match=message):
+        solve_mild(_gain_problem(1e308, 1.0), grid, raw_forcing=_constant_control(grid))
+
+
 def test_an_assembly_evaluates_the_zero_state_source_once():
     # the first step of every solve reads the source at the zero state; an
     # assembly computes it once, so k solves cost sum(iterations) - (k - 1)

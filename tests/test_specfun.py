@@ -343,8 +343,10 @@ def test_tail_expansion_serves_only_points_past_the_series_band(monkeypatch):
     for alpha in below + (0.99995, 1.5):
         for beta in (0.5, 1.0, alpha, 1.5, 2.0, 3.0):
             mittag_leffler_array(alpha, beta, SWEEP_Z)
+    # below the band the branch cut comes first and may leave the tail
+    # expansion nothing; every point it does get lies past the series band
     for alpha in below:
-        assert min(peaks[alpha]) > specfun._SERIES_CANCEL_LIMIT
+        assert all(peak > specfun._SERIES_CANCEL_LIMIT for peak in peaks.get(alpha, []))
     # within 1e-4 of alpha = 1 and above 1 there is no branch cut: the
     # series' misses still go to the tail expansion
     for alpha in (0.99995, 1.5):
@@ -510,3 +512,159 @@ def test_tail_expansion_skips_coefficients_at_rounded_poles(monkeypatch):
     assert len(fallbacks) == 0
     ref = [oracles.ml_oracle(0.2, 0.2, float(q)) for q in z]
     assert got == pytest.approx(ref, rel=constants.ML_REL_TOL)
+
+
+# ------------------------------------- branch cut before the tail expansion
+
+SWEEP_ALPHAS = [float(a) for a in np.linspace(0.01, 0.99989, 56)]
+SWEEP_BETAS = (0.1, 0.25, 0.35, 0.5, 0.75, 1.0, "alpha", 1.25, 1.5, 2.0, 2.5, 3.0, "1+alpha")
+# (quad, extended-precision) calls per order of the 56-order sweep, taken
+# when the tail expansion still came before the branch cut and the branch
+# cut summed every row at step h; orders not listed made none
+SWEEP_FALLBACKS = {
+    0: (106, 6), 1: (237, 0), 2: (252, 0), 3: (272, 0), 4: (259, 0), 5: (469, 0),
+    6: (275, 0), 7: (258, 0), 8: (202, 0), 9: (169, 0), 10: (164, 0), 11: (213, 0),
+    12: (166, 0), 13: (67, 0), 14: (97, 0), 15: (59, 0), 16: (38, 0), 17: (8, 1),
+    18: (148, 0), 19: (52, 0), 20: (4, 0), 21: (9, 0), 22: (4, 0), 23: (0, 1),
+    24: (3, 0), 55: (0, 1),
+}
+
+
+def _beta(alpha, beta):
+    return {"alpha": alpha, "1+alpha": 1.0 + alpha}.get(beta, beta)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    route = getattr(specfun, name)
+
+    def counted(*args):
+        calls.append(args)
+        return route(*args)
+
+    monkeypatch.setattr(specfun, name, counted)
+    return calls
+
+
+def test_sweep_fallbacks_do_not_grow(monkeypatch):
+    # 56 orders x 13 betas x SWEEP_Z: the points that reach quad are the
+    # branch cut's misses among the tail's, and the series' misses that
+    # the branch cut misses go to extended precision, as before
+    quad = _counting(monkeypatch, "_branch_cut_quad")
+    mp = _counting(monkeypatch, "_extended_precision_series")
+    for i, alpha in enumerate(SWEEP_ALPHAS):
+        before = (len(quad), len(mp))
+        for beta in SWEEP_BETAS:
+            mittag_leffler_array(alpha, _beta(alpha, beta), SWEEP_Z)
+        counts = (len(quad) - before[0], len(mp) - before[1])
+        limit = SWEEP_FALLBACKS.get(i, (0, 0))
+        assert counts[0] <= limit[0] and counts[1] <= limit[1], (alpha, counts, limit)
+
+
+def _demo_heat_verify_tables(monkeypatch):
+    # the (alpha, beta, z) of every Mittag-Leffler table fracevol verify
+    # builds for demo_heat.ini; no table depends on the states
+    from pathlib import Path
+
+    from fracevol import spectral
+    from fracevol.config import build_forcing, build_grid, build_problem, load_config
+    from fracevol.greens import Trajectory, verify_mild
+
+    cfg = load_config(Path(__file__).resolve().parent.parent / "demos/configs/demo_heat.ini")
+    problem, grid = build_problem(cfg), build_grid(cfg)
+    tables = []
+    evaluate = spectral.mittag_leffler_array
+
+    def recorded(alpha, beta, z):
+        tables.append((alpha, beta, np.array(z, dtype=float)))
+        return evaluate(alpha, beta, z)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "mittag_leffler_array", recorded)
+        zero = Trajectory(grid, np.zeros((grid.n_steps + 1, problem.n_modes)))
+        verify_mild(problem, zero, raw_forcing=build_forcing(cfg, grid))
+    return tables
+
+
+def test_verify_tables_past_the_series_band_take_the_branch_cut(monkeypatch):
+    tables = _demo_heat_verify_tables(monkeypatch)
+    assert sorted(beta for _, beta, _ in tables) == [0.75, 1.0]
+    tail = _counting(monkeypatch, "_tail_expansion")
+    quad = _counting(monkeypatch, "_branch_cut_quad")
+    served = []
+    branch_cut = specfun._branch_cut
+
+    def recorded(alpha, b, z):
+        value, est = branch_cut(alpha, b, z)
+        served.append((z, est))
+        return value, est
+
+    monkeypatch.setattr(specfun, "_branch_cut", recorded)
+    checked = 0
+    for alpha, beta, z in tables:
+        served.clear()
+        got = mittag_leffler_array(alpha, beta, z)
+        far = z[np.abs(z) ** (1.0 / alpha) > specfun._SERIES_CANCEL_LIMIT]
+        assert far.size > 1000
+        (cut, est), = served
+        assert np.isin(far, cut).all()
+        assert (est <= constants.ML_ASYMP_ACCEPT).all()
+        # 24 branch-cut points per table, spread evenly over log X
+        X = np.abs(cut) ** (1.0 / alpha)
+        order = np.argsort(X)
+        assert X[order[0]] < 10.0 and X[order[-1]] > 250.0
+        pick = order[np.searchsorted(X[order], np.geomspace(X[order[0]], X[order[-1]], 24))]
+        for q in cut[pick]:
+            i = int(np.flatnonzero(z == q)[0])
+            ref = oracles.ml_oracle(alpha, beta, float(q))
+            assert abs(got[i] - ref) <= 1e-14 * abs(ref), (alpha, beta, float(q))
+            checked += 1
+    assert checked >= 40
+    assert not tail and not quad
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.75, 0.95, 0.99989])
+@pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, "alpha", 1.5, "1+alpha"])
+def test_progressive_branch_cut_serves_what_step_h_serves(alpha, beta):
+    # the rule of step 2h answers where its own estimate passes, else
+    # the rule of step h with the same estimate as when every row took it
+    b, _ = specfun._reduce_beta(alpha, _beta(alpha, beta))
+    z = -np.geomspace(0.05, 5000.0, 400)
+    value, est = specfun._branch_cut(alpha, b, z)
+    ref, ref_est = oracles.branch_cut_reference(alpha, b, z)
+    before = ref_est <= constants.ML_ASYMP_ACCEPT
+    assert before.any()
+    assert (est[before] <= constants.ML_ASYMP_ACCEPT).all()
+    gap = np.abs(value[before] - ref[before])
+    assert (gap <= constants.ML_ASYMP_ACCEPT * np.abs(ref[before])).all()
+    # rows the step-h rule missed added the odd nodes and keep its bits;
+    # elsewhere the rule of step 2h answers on some rows at least
+    assert np.array_equal(est[~before], ref_est[~before], equal_nan=True)
+    assert np.array_equal(value[~before], ref[~before], equal_nan=True)
+    assert (value[before] != ref[before]).any()
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,z",
+    [(0.423954, 0.25, -1.1390172531867668), (0.837908, 0.75, -3.5095546532638506),
+     (0.891902, 0.35, -0.5608111439613025)],
+)
+def test_branch_cut_rows_whose_terms_cancel_are_answered_at_step_h(alpha, beta, z):
+    # points of the sweep where S_2h and S_4h agree within 1e-13 but their
+    # terms cancel to eps * sum |terms| > 1e-13 |S_2h|: that rounding is
+    # shared by both rules, so it counts in the 2h estimate and step h answers
+    b, _ = specfun._reduce_beta(alpha, beta)
+    z = np.array([z])
+    got = specfun._branch_cut(alpha, b, z)
+    ref = oracles.branch_cut_reference(alpha, b, z)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.99989, 0.99989), (0.99989, 1.0), (0.95, 1.9)])
+def test_branch_cut_near_b_equal_alpha_against_oracle(alpha, beta):
+    # sin(pi (1 - b + alpha)) is exactly 0 at b = alpha; rounded to
+    # sin(pi) = 1.2e-16 it put 7e-11 into E(-200) at alpha = 0.99989
+    z = -np.geomspace(40.0, 200.0, 8)
+    got = mittag_leffler_array(alpha, beta, z)
+    ref = [oracles.ml_oracle(alpha, beta, float(q)) for q in z]
+    assert got == pytest.approx(ref, rel=1e-14, abs=0.0)

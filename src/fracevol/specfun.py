@@ -24,7 +24,8 @@ the series peak X = |z|**(1/alpha) decides the chain:
 
 The branch cut (collapsed Hankel contour, Gorenflo, Loutchko & Luchko) is
 a tanh-sinh rule on [0, |z|] plus an exp-sinh rule on [|z|, inf), summed
-progressively: step 2h against 4h, then h against 2h on rows that miss.
+progressively: step 2h against 4h, first over each row's leading nodes
+(the route decisions are those of all nodes), then h against 2h on misses.
 
 For alpha > 1 the branch-cut route is unavailable (the integrand picks up
 a non-integrable ridge), so a negative point tries the series (X <= 34),
@@ -77,6 +78,9 @@ _DE_STEP = 1.0 / 64.0
 # underflow; a share exp(-_DE_DEAD) of the integral's mass counts as dead
 _DE_REACH = 690.0
 _DE_DEAD = 40.0
+# a step-2h row first takes the nodes with X A_j < _DE_CUT, in widths of _DE_RUNG
+_DE_CUT = 60.0
+_DE_RUNG = 32
 # half-width of the band around alpha = 1 where the tail expansion's gate
 # counts the pole contribution and, below 1, the branch cut gives way to
 # the extended-precision series (see the module docstring)
@@ -348,6 +352,15 @@ def _branch_cut_nodes(alpha: float, b: float):
     return A_even, c_even, A_odd, c_odd, ends
 
 
+def _node_sums(X: np.ndarray, A: np.ndarray, c: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per X, the sums of exp(-X A) c, of every second term, the end terms' |.| and all |.|."""
+    out = np.empty((4, X.size))
+    for rows in _row_blocks(X.size, A.size):
+        p = np.exp(-X[rows, None] * A) * c
+        out[:, rows] = p.sum(1), p[:, ::2].sum(1), np.abs(p[:, ends]).sum(1), np.abs(p).sum(1)
+    return out
+
+
 def _branch_cut(alpha: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapsed Hankel contour for 0 < alpha < 1, z < 0, b < 1 + alpha.
 
@@ -358,28 +371,44 @@ def _branch_cut(alpha: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.n
     times the term magnitudes (rounding that S_4h shares), over |S_2h|.  A
     row missing ML_ASYMP_ACCEPT adds the odd nodes and takes S_h, with
     |S_h - S_2h| plus the end terms, over |S_h|.
+
+    S_2h first sums a row's W leading nodes (A ascends; W from X alone, all
+    terms past it below exp(-60) |c_j|).  If W < n the estimate adds 8 h (D +
+    eps M) for what S_2h, S_4h and the end terms lose to the dropped terms,
+    at most D = exp(-X A_W) sum_{j >= W} exp(-(_DE_CUT / A_W) (A_j - A_W)) |c_j|,
+    and to rounding in another order (M: the kept |terms|).  Rows then above a
+    tenth of the gate, or whose terms cancel below M / 2, sum all n nodes.
     """
     h = _DE_STEP
     A_even, c_even, A_odd, c_odd, ends = _branch_cut_nodes(alpha, b)
-    x = -z
-    X = x ** (1.0 / alpha)
-    even, quarter, edge, mass = np.empty((4, z.size))
-    for rows in _row_blocks(z.size, A_even.size):
-        p = np.exp(-X[rows, None] * A_even) * c_even
-        even[rows] = p.sum(axis=1)
-        quarter[rows] = p[:, ::2].sum(axis=1)
-        edge[rows] = np.abs(p[:, ends]).sum(axis=1)
-        mass[rows] = np.abs(p).sum(axis=1)
-    value = 2.0 * h * even
-    est = (np.abs(value - 4.0 * h * quarter) + h * edge + 2.0 * h * _EPS * mass) / np.abs(value)
+    X = (-z) ** (1.0 / alpha)
+    n = A_even.size
+    width = np.minimum((np.searchsorted(A_even, _DE_CUT / X) // _DE_RUNG + 1) * _DE_RUNG, n)
+    sums, slack = np.empty((4, z.size)), np.zeros(z.size)
+    for w in [*range(_DE_RUNG, n, _DE_RUNG), n]:
+        idx = np.flatnonzero(width == w)
+        sums[:, idx] = _node_sums(X[idx], A_even[:w], c_even[:w], ends[ends < w])
+        if idx.size and w < n:
+            D = np.exp(-(_DE_CUT / A_even[w]) * (A_even[w:] - A_even[w])) @ np.abs(c_even[w:])
+            slack[idx] = 8.0 * h * (np.exp(-X[idx] * A_even[w]) * D + _EPS * sums[3, idx])
+    even, quarter, edge, mass = sums
+
+    def rule_2h():
+        err = np.abs(2.0 * h * even - 4.0 * h * quarter) + h * edge + 2.0 * h * _EPS * mass + slack
+        return 2.0 * h * even, err / np.abs(2.0 * h * even)
+
+    value, est = rule_2h()
+    redo = ~(est <= 0.1 * ML_ASYMP_ACCEPT) | (mass > 2.0 * np.abs(even))
+    full = np.flatnonzero((width < n) & redo)
+    sums[:, full] = _node_sums(X[full], A_even, c_even, ends)
+    slack[full] = 0.0
+    value, est = rule_2h()
     miss = np.flatnonzero(~(est <= ML_ASYMP_ACCEPT))
-    odd = np.empty(miss.size)
-    for rows in _row_blocks(miss.size, A_odd.size):
-        odd[rows] = (np.exp(-X[miss[rows], None] * A_odd) * c_odd).sum(axis=1)
+    odd = _node_sums(X[miss], A_odd, c_odd, ends[:0])[0]
     fine = h * (even[miss] + odd)
     est[miss] = (np.abs(fine - value[miss]) + h * edge[miss]) / np.abs(fine)
     value[miss] = fine
-    return x ** ((1.0 - b) / alpha) * value, est
+    return (-z) ** ((1.0 - b) / alpha) * value, est
 
 
 def _branch_cut_quad(alpha: float, b: float, z: float) -> float:

@@ -362,6 +362,44 @@ def branch_cut_reference(alpha: float, b: float, z):
     return x ** ((1.0 - b) / alpha) * fine, est
 
 
+def progressive_branch_cut_reference(alpha: float, b: float, z):
+    """The progressive branch-cut rule of the Mittag-Leffler function over every node.
+
+    ``specfun._branch_cut`` as it was before each row's step-2h sum left
+    out the nodes whose terms cannot count: every row sums all even nodes,
+    answers with S_2h where |S_2h - S_4h| plus h times the end terms and
+    eps times the term magnitudes, over |S_2h|, passes the gate, and
+    otherwise adds the odd nodes and answers with S_h as
+    ``branch_cut_reference`` does.  Returns the same (values, relative
+    error estimates); it takes the package's nodes and row blocks.
+    """
+    import numpy as np
+    from fracevol.constants import ML_ASYMP_ACCEPT
+    from fracevol.specfun import _DE_STEP, _EPS, _branch_cut_nodes, _row_blocks
+
+    h = _DE_STEP
+    A_even, c_even, A_odd, c_odd, ends = _branch_cut_nodes(alpha, b)
+    x = -z
+    X = x ** (1.0 / alpha)
+    even, quarter, edge, mass = np.empty((4, z.size))
+    for rows in _row_blocks(z.size, A_even.size):
+        p = np.exp(-X[rows, None] * A_even) * c_even
+        even[rows] = p.sum(axis=1)
+        quarter[rows] = p[:, ::2].sum(axis=1)
+        edge[rows] = np.abs(p[:, ends]).sum(axis=1)
+        mass[rows] = np.abs(p).sum(axis=1)
+    value = 2.0 * h * even
+    est = (np.abs(value - 4.0 * h * quarter) + h * edge + 2.0 * h * _EPS * mass) / np.abs(value)
+    miss = np.flatnonzero(~(est <= ML_ASYMP_ACCEPT))
+    odd = np.empty(miss.size)
+    for rows in _row_blocks(miss.size, A_odd.size):
+        odd[rows] = (np.exp(-X[miss[rows], None] * A_odd) * c_odd).sum(axis=1)
+    fine = h * (even[miss] + odd)
+    est[miss] = (np.abs(fine - value[miss]) + h * edge[miss]) / np.abs(fine)
+    value[miss] = fine
+    return x ** ((1.0 - b) / alpha) * value, est
+
+
 @functools.lru_cache(maxsize=None)
 def panel_moments(alpha: float, u):
     """(a0, far) = integrals of s**(alpha-1) and s**(alpha-1) (s - u) over [u, u + 1].

@@ -101,7 +101,8 @@ def test_cli_leaves_scipy_integrate_unimported():
 def test_cli_leaves_scipy_unimported(tmp_path):
     # the package runs on numpy and the standard library; scipy backs only
     # the lazy quadrature fallback, and mpmath only the extended-precision
-    # series, neither of which the demo configs reach
+    # series, neither of which the demo configs reach; numpy.ma, which
+    # np.unique loads unless asked for return_inverse, costs about 15 ms
     configs = REPO / "demos" / "configs"
     heat = str(tmp_path / "heat")
     code = (
@@ -109,10 +110,11 @@ def test_cli_leaves_scipy_unimported(tmp_path):
         "import fracevol.cli\n"
         "def loaded():\n"
         "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
-        " or m == 'mpmath']\n"
+        " or m == 'mpmath' or m == 'numpy.ma' or m.startswith('numpy.ma.')]\n"
         "assert not loaded(), ('import', loaded())\n"
         f"assert fracevol.cli.main(['simulate', '--config', {str(configs / 'demo_heat.ini')!r},"
         f" '--out', {heat!r}]) == 0\n"
+        "assert not loaded(), ('simulate', loaded())\n"
         f"assert fracevol.cli.main(['verify', '--config', {str(configs / 'demo_heat.ini')!r},"
         f" {heat + '.trajectory.txt'!r}]) == 0\n"
         "assert not loaded(), ('verify', loaded())\n"

@@ -10,6 +10,7 @@ from scipy import special
 from fracevol import constants, specfun
 from fracevol.errors import DomainError
 from fracevol.specfun import gamma, mittag_leffler, mittag_leffler_array, ml_derivative_kernel
+from fracevol.spectral import SpectralModel, ml_table
 
 import oracles
 
@@ -668,3 +669,82 @@ def test_branch_cut_near_b_equal_alpha_against_oracle(alpha, beta):
     got = mittag_leffler_array(alpha, beta, z)
     ref = [oracles.ml_oracle(alpha, beta, float(q)) for q in z]
     assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.05, 0.9999), share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_branch_cut_over_leading_nodes_matches_the_full_sum(alpha, share):
+    # each row's step-2h sum over its leading nodes, with the bound on the
+    # terms it leaves out, against the same rule over every node
+    b, _ = specfun._reduce_beta(alpha, share * (1.0 + alpha))
+    z = -np.geomspace(0.05, 5000.0, 400)
+    with np.errstate(all="ignore"):
+        value, est = specfun._branch_cut(alpha, b, z)
+        ref, ref_est = oracles.progressive_branch_cut_reference(alpha, b, z)
+    coarse = ref_est <= constants.ML_ASYMP_ACCEPT
+    assert np.array_equal(est <= constants.ML_ASYMP_ACCEPT, coarse)
+    # rows answered at step h keep their bits and their estimates
+    assert np.array_equal(value[~coarse], ref[~coarse], equal_nan=True)
+    assert np.array_equal(est[~coarse], ref_est[~coarse], equal_nan=True)
+    assert (np.abs(value[coarse] - ref[coarse]) <= 1e-15 * np.abs(ref[coarse])).all()
+    assert (est[coarse] >= ref_est[coarse] - 1e-16).all()
+
+
+@pytest.mark.parametrize("beta", [0.75, 1.0])
+def test_stiff_mode_table_against_oracle(beta):
+    # 32 Dirichlet modes on 512 steps: X = |z|**(1/alpha) reaches about
+    # 10**4, where most branch-cut terms underflow
+    alpha = 0.75
+    model = SpectralModel.dirichlet_laplacian(32)
+    times = np.linspace(0.0, 1.0, 513)
+    table = ml_table(model.lambdas, alpha, beta, times)
+    z = -np.outer(np.array([float(t) ** alpha for t in times]), model.lambdas)
+    X = np.abs(z) ** (1.0 / alpha)
+    assert X.max() > 1e4
+    flat = np.argsort(X, axis=None)
+    far = flat[X.ravel()[flat] > specfun._SERIES_CANCEL_LIMIT]
+    Xs = X.ravel()[far]
+    # 20 points per table spread evenly over log X, against the 40-digit
+    # contour integral (ml_oracle's series takes seconds a point at X of
+    # a few hundred, and agrees with it there)
+    pick = far[np.minimum(np.searchsorted(Xs, np.geomspace(Xs[0], Xs[-1], 20)), far.size - 1)]
+    for q, got in zip(z.ravel()[pick], table.ravel()[pick]):
+        ref = float(oracles.ml_branch_cut(alpha, beta, float(q)))
+        assert abs(got - ref) <= 1e-14 * abs(ref), (beta, float(q))
+    perm = np.random.default_rng(3).permutation(times.size)
+    assert np.array_equal(ml_table(model.lambdas, alpha, beta, times[perm]), table[perm])
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.9, 0.52), (0.6, 1.55), (0.75, 1.7), (0.45, 1.3)])
+def test_branch_cut_rows_whose_terms_cancel_keep_the_full_sum(alpha, beta):
+    # b outside [alpha, 1] gives terms of both signs; summed over fewer
+    # nodes a row would round in another order, by about eps times its
+    # magnitudes, so rows that cancel to under half of them take every node
+    b, _ = specfun._reduce_beta(alpha, beta)
+    z = -np.geomspace(0.05, 5000.0, 400)
+    A, c, *_ = specfun._branch_cut_nodes(alpha, b)
+    terms = np.exp(-(-z)[:, None] ** (1.0 / alpha) * A) * c
+    cancel = np.abs(terms).sum(axis=1) > 2.5 * np.abs(terms.sum(axis=1))
+    assert cancel.sum() >= 40
+    got = specfun._branch_cut(alpha, b, z)
+    ref = oracles.progressive_branch_cut_reference(alpha, b, z)
+    assert (ref[1][cancel] <= constants.ML_ASYMP_ACCEPT).all()
+    assert np.array_equal(got[0][cancel], ref[0][cancel])
+    assert np.array_equal(got[1][cancel], ref[1][cancel])
+
+
+@pytest.mark.parametrize("cut", [3.0, 8.0])
+def test_branch_cut_bound_on_dropped_terms_at_a_short_cut(monkeypatch, cut):
+    # at _DE_CUT = 60 the dropped terms never count; cut far shorter, the
+    # bound on them decides which rows are summed again over every node
+    monkeypatch.setattr(specfun, "_DE_CUT", cut)
+    z = -np.geomspace(0.05, 5000.0, 400)
+    for alpha, beta in ((0.75, 1.0), (0.75, 0.75), (0.3, 0.5), (0.95, 1.9)):
+        b, _ = specfun._reduce_beta(alpha, beta)
+        value, est = specfun._branch_cut(alpha, b, z)
+        ref, ref_est = oracles.progressive_branch_cut_reference(alpha, b, z)
+        coarse = ref_est <= constants.ML_ASYMP_ACCEPT
+        assert np.array_equal(est <= constants.ML_ASYMP_ACCEPT, coarse)
+        assert (est[coarse] >= ref_est[coarse] - 1e-16).all()
+        gap = np.abs(value[coarse] - ref[coarse])
+        assert (gap <= 0.1 * constants.ML_ASYMP_ACCEPT * np.abs(ref[coarse])).all()

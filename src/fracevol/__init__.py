@@ -47,7 +47,6 @@ from .fraccalc import (
     TimeGrid,
     caputo_derivative,
     rl_integral,
-    singular_convolution,
 )
 from .greens import (
     NonlocalSpec,
@@ -63,7 +62,7 @@ from .greens import (
     solve_mild,
     verify_mild,
 )
-from .specfun import gamma, mittag_leffler, mittag_leffler_array, ml_derivative_kernel
+from .specfun import gamma, mittag_leffler, mittag_leffler_array
 from .spectral import SpectralModel
 
 __version__ = "0.1.0"
@@ -80,12 +79,10 @@ __all__ = [
     "gamma",
     "mittag_leffler",
     "mittag_leffler_array",
-    "ml_derivative_kernel",
     "TimeGrid",
     "SampledFn",
     "rl_integral",
     "caputo_derivative",
-    "singular_convolution",
     "SpectralModel",
     "NonlocalSpec",
     "Nonlinearity",

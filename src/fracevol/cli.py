@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands:
-    ml <alpha> <beta> <z>        print one Mittag-Leffler value
+    ml <alpha> <beta> <z>        print one Mittag-Leffler value; any float
+                                 spelling, -1e3 and -inf too, is a number
     simulate --config C --out P  solve; writes P.trajectory.txt, P.report.txt
     steer    --config C --out P  rho sweep; writes P.table.txt
     verify   --config C TRAJ     residual check of a trajectory file
@@ -153,6 +154,11 @@ def _cmd_verify(cfg: RunConfig, trajectory_path: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["ml"] and not {"-h", "--help", "--"} & set(argv):
+        # ml takes numbers only, but argparse reads -1e3 or -inf as an
+        # option: its negative-number pattern matches only -2 and -2.5
+        argv.insert(1, "--")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

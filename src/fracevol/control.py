@@ -39,7 +39,6 @@ __all__ = [
     "SteeringResult",
     "ReachabilityTable",
     "apply_K",
-    "nemytskii",
     "solution_map_W",
     "regularized_W",
     "gramian",
@@ -109,11 +108,6 @@ def apply_K(problem: ProblemSpec, mu: SampledFn) -> Trajectory:
     """
     vals = _forcing_base(problem, mu.grid, None, mu)
     return Trajectory(mu.grid, ResponseAssembly(problem, mu.grid).response(vals))
-
-
-def nemytskii(problem: ProblemSpec, z: Trajectory) -> Trajectory:
-    """Node-wise application of the source term to a trajectory."""
-    return Trajectory(z.grid, _eval_source(problem, z.grid.nodes, z.states))
 
 
 def solution_map_W(

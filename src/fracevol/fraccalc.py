@@ -1,13 +1,17 @@
 """Discrete fractional calculus on uniformly sampled functions.
 
-Provides the Riemann-Liouville fractional integral, the Caputo and
-Riemann-Liouville fractional derivatives (L1-type schemes), and a product
-quadrature for convolutions with weakly singular kernels of the form
-(t - s)**(alpha - 1) * h(t - s).  The quadrature integrates the singular
-power factor exactly on every subinterval against the piecewise linear
-interpolant of the sampled data, so no kernel value is ever requested at
-the singularity itself.  These weights, the L1 weights and verify_mild's
-all read the power's panel moments from _panel_moments, free of cancellation.
+Provides the Riemann-Liouville fractional integral, the Caputo fractional
+derivative (L1 scheme), and a product quadrature for convolutions with
+weakly singular kernels of the form (t - s)**(alpha - 1) * h(t - s).  The
+quadrature integrates the singular power factor exactly on every
+subinterval against the piecewise linear interpolant of the sampled data,
+so no kernel value is ever requested at the singularity itself.  It has
+two forms: ProductQuadrature, the sums at every node for one kernel
+table (the solver's convolution, rl_integral, the operator-identity
+check), and singular_kernel_weights, the weight vector at one time t on
+or between nodes (the pin and endpoint rows, dotted with data later).
+These weights, the L1 weights and verify_mild's all read the power's
+panel moments from _panel_moments, free of cancellation.
 """
 
 from __future__ import annotations
@@ -154,13 +158,6 @@ def rl_integral(alpha: float, f: SampledFn) -> SampledFn:
     return SampledFn(f.grid, conv / gamma(alpha))
 
 
-def rl_integral_at(alpha: float, f: SampledFn, t: float) -> float | np.ndarray:
-    """Fractional integral evaluated at an arbitrary time in [0, horizon]."""
-    # the power kernel is the singular product quadrature with h = 1
-    w = singular_kernel_weights(alpha, np.ones_like, f.grid, t)
-    return w @ f.values / gamma(alpha)
-
-
 def _extrapolate_node0(vals: np.ndarray) -> np.ndarray:
     n = vals.shape[0] - 1
     if n >= 3:
@@ -192,59 +189,6 @@ def caputo_derivative(alpha: float, f: SampledFn) -> SampledFn:
     return SampledFn(f.grid, out, node0_extrapolated=True)
 
 
-def rl_derivative(alpha: float, f: SampledFn) -> SampledFn:
-    """Riemann-Liouville derivative: Caputo part plus the t**(-alpha) offset.
-
-    Coincides with caputo_derivative whenever f(0) = 0.
-    """
-    alpha = _check_order(alpha)
-    cap = caputo_derivative(alpha, f)
-    n = f.grid.n_steps
-    out = np.array(cap.values, dtype=float).reshape(n + 1, -1)
-    t_pos = f.grid.nodes[1:]
-    boundary = t_pos ** (-alpha) / gamma(1.0 - alpha)
-    f0 = f.values.reshape(n + 1, -1)[0]
-    out[1:] += np.outer(boundary, f0)
-    out = _extrapolate_node0(out).reshape(cap.values.shape)
-    return SampledFn(f.grid, out, node0_extrapolated=True)
-
-
-def singular_convolution(
-    alpha: float,
-    kernel_smooth: Callable[[np.ndarray], np.ndarray],
-    f: SampledFn,
-    t_index: int,
-) -> float | np.ndarray:
-    """integral_0^{t_i} (t_i - s)**(alpha-1) * h(t_i - s) * f(s) ds.
-
-    The power factor is integrated exactly per subinterval against the
-    piecewise linear interpolant of the sampled product h(t_i - s) f(s).
-    h is only ever evaluated at nonnegative lags including 0, never at a
-    point where the combined kernel is singular.
-    """
-    n = f.grid.n_steps
-    i = int(t_index)
-    if not 0 <= i <= n:
-        raise DomainError(f"t_index {t_index!r} outside 0..{n}")
-    return singular_convolution_at(alpha, kernel_smooth, f, f.grid.nodes[i])
-
-
-def singular_convolution_at(
-    alpha: float,
-    kernel_smooth: Callable[[np.ndarray], np.ndarray],
-    f: SampledFn,
-    t: float,
-) -> float | np.ndarray:
-    """Same product quadrature with an arbitrary upper limit t in [0, horizon].
-
-    When t falls strictly between nodes, the product on the trailing
-    partial subinterval is interpolated between its value at the last node
-    below t and its value at t itself, so kernel lags stay nonnegative.
-    """
-    w = singular_kernel_weights(alpha, kernel_smooth, f.grid, t)
-    return w @ np.asarray(f.values, dtype=float)
-
-
 def singular_kernel_weights(
     alpha: float,
     kernel_smooth: Callable[[np.ndarray], np.ndarray],
@@ -253,16 +197,19 @@ def singular_kernel_weights(
 ) -> np.ndarray:
     """Weight vector representing the singular product quadrature at t.
 
-    The value singular_convolution_at returns is exactly this vector dotted
-    with the sample values; exposing the weights lets linear functionals of
-    the data (endpoint response rows, Gramian assembly) reuse the identical
-    discretization.  kernel_smooth maps an array of lags to an array whose
-    leading axis runs over the lags: (n_lags,) gives weights of shape
-    (n_nodes,), (n_lags, n_cols) gives one weight column per kernel column,
-    each equal to the weights of that column's kernel alone.  It is asked
-    for the node lags (jp - j + theta) * delta, at a node exactly the
-    product quadrature's k * delta, then for w0 = theta * delta and 0; the
-    power weights are _panel_moments' in units of delta.
+    Dotted with the sample values it gives the quadrature up to t, at a
+    node the sum ProductQuadrature takes there; linear functionals of the
+    data (pin and endpoint response rows, Gramian assembly) reuse the
+    identical discretization through it.  Between nodes, the trailing
+    partial panel interpolates the product between the last node below t
+    and t itself, so kernel lags stay nonnegative.  kernel_smooth maps an
+    array of lags to an array whose leading axis runs over the lags:
+    (n_lags,) gives weights of shape (n_nodes,), (n_lags, n_cols) gives one
+    weight column per kernel column, each equal to the weights of that
+    column's kernel alone.  It is asked for the node lags (jp - j + theta)
+    * delta, at a node exactly the product quadrature's k * delta, then for
+    w0 = theta * delta and 0; the power weights are _panel_moments' in
+    units of delta.
     """
     alpha = _check_order(alpha, allow_one=True)
     jp, theta = grid.locate(t)
@@ -290,7 +237,7 @@ def singular_kernel_weights(
 
 
 class ProductQuadrature:
-    """singular_convolution at every node for one kernel table, precomputed.
+    """The product quadrature at every node for one kernel table, precomputed.
 
     smooth_at_lags[d] must hold h(d * delta).  A 1-D table is one kernel for
     every data column; an (n_nodes, n_cols) table gives data column m its
@@ -298,8 +245,8 @@ class ProductQuadrature:
     the t = 0 correction mu1 * h once, and the real FFT (numpy.fft) of the
     weighted table at the smallest 5-smooth length L of at least 2 n.  Each
     call is then one forward and one inverse real FFT over all data
-    columns: the same sums as the node-by-node quadrature, up to the FFT's
-    rounding.  The linear convolution of two length-(n + 1) sequences has
+    columns: at each node the sum of singular_kernel_weights there against
+    the data, up to the FFT's rounding.  The linear convolution of two length-(n + 1) sequences has
     2 n + 1 terms; the circular one of length L >= 2 n folds at most its
     last term, k[n] x[n] at index 2 n, back onto index 0, so nodes 1..n
     are the linear sums.  Node 0, the integral over an empty interval, is
@@ -342,10 +289,10 @@ class ProductQuadrature:
 def singular_convolution_all(
     alpha: float, smooth_at_lags: np.ndarray, f: SampledFn
 ) -> np.ndarray:
-    """singular_convolution at every node and column at once.
+    """The product quadrature of f at every node and column at once.
 
     A ProductQuadrature used once; see there for the table's shape.  To
     convolve many data sets with one table, build the ProductQuadrature
-    once and call it.
+    once and call it.  perfbench/layers.py times the quadrature by this name.
     """
     return ProductQuadrature(alpha, f.grid, smooth_at_lags)(f.values)

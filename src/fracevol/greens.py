@@ -531,7 +531,7 @@ class ResponseAssembly:
 
 
 def endpoint_response_rows(problem: ProblemSpec, grid: TimeGrid) -> np.ndarray:
-    """ResponseAssembly(problem, grid).endpoint_rows(), for a single use."""
+    """The single-use form of ResponseAssembly.endpoint_rows, probed by perfbench."""
     return ResponseAssembly(problem, grid).endpoint_rows()
 
 

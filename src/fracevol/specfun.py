@@ -53,7 +53,7 @@ import numpy as np
 from .constants import ML_ASYMP_ACCEPT, ML_TAYLOR_ACCEPT
 from .errors import DomainError
 
-__all__ = ["gamma", "mittag_leffler", "mittag_leffler_array", "ml_derivative_kernel"]
+__all__ = ["gamma", "mittag_leffler", "mittag_leffler_array"]
 
 _EPS = 2.2e-16
 # |z|**(1/alpha) above this, the float64 series would lose more digits to
@@ -562,20 +562,3 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """
     return float(mittag_leffler_array(alpha, beta, [float(z)])[0])
 
-
-def ml_derivative_kernel(alpha: float, lam: float, t: float) -> float:
-    """t**(alpha-1) * E_{alpha,alpha}(-lam * t**alpha) for t > 0.
-
-    The weakly singular convolution kernel of the resolvent family; lam
-    must be nonnegative, alpha in (0, 1).
-    """
-    alpha = float(alpha)
-    lam = float(lam)
-    t = float(t)
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"kernel order alpha must lie in (0, 1), got {alpha!r}")
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise DomainError(f"rate lam must be nonnegative, got {lam!r}")
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"kernel time must be positive, got {t!r}")
-    return t ** (alpha - 1.0) * mittag_leffler(alpha, alpha, -lam * t ** alpha)

@@ -5,6 +5,7 @@ argument parsing and error mapping exactly as a shell user would see
 them.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,15 @@ def test_ml_known_values():
     assert float(out.stdout) == pytest.approx(
         mittag_leffler(0.75, 0.75, -1.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("z", ["-1e3", "-1E+2"])
+def test_ml_negative_z_in_exponent_form(z):
+    # argparse alone reads these as options; they must parse as after "--"
+    out = run_cli("ml", "0.5", "1", z)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == run_cli("ml", "0.5", "1", "--", z).stdout
+    assert float(out.stdout) == pytest.approx(mittag_leffler(0.5, 1.0, float(z)), rel=1e-12)
 
 
 def test_cli_leaves_scipy_integrate_unimported():
@@ -162,6 +172,11 @@ def test_ml_bad_arguments():
     assert run_cli("ml", "1", "1").returncode == 2
     assert run_cli("ml", "x", "1", "1").returncode == 2
     assert run_cli("ml", "-0.5", "1", "1").returncode == 2
+    out = run_cli("ml", "0.5", "1", "-inf")
+    assert out.returncode == 2
+    assert out.stderr == "domain error: argument must be finite, got -inf\n"
+    out = run_cli("ml", "-h")
+    assert out.returncode == 0 and out.stdout.startswith("usage: fracevol ml")
 
 
 def test_unknown_command_and_help():
@@ -378,3 +393,17 @@ def test_verify_config_mismatch_exits_2(tmp_path):
     out = run_cli("verify", "--config", str(other), str(tmp_path / "a.trajectory.txt"))
     assert out.returncode == 2
     assert "mode count" in out.stderr
+
+
+def test_every_trace_probe_resolves(monkeypatch):
+    # perfbench/layers.py reports a probe whose name is gone as a null
+    # metric; load it by path and only look the names up, since install
+    # would rebind the fracevol modules for the rest of the session
+    path = REPO / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layers)  # its dataclasses look it up
+    spec.loader.exec_module(layers)
+    for _, module, path, _ in layers.PROBES:
+        assert layers._resolve(module, path) is not None, f"{module}.{path}"
+    assert layers._resolve(*layers.SOURCE_FACTORY) is not None

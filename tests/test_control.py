@@ -13,7 +13,6 @@ from fracevol.control import (
     ControlSignal,
     apply_K,
     gramian,
-    nemytskii,
     operator_norm_estimate,
     reachability_experiment,
     regularized_W,
@@ -29,6 +28,8 @@ from fracevol.fraccalc import SampledFn, TimeGrid
 from fracevol.greens import (
     NonlocalSpec,
     ProblemSpec,
+    Trajectory,
+    _eval_source,
     mode_gain_source,
     sine_collocation_source,
     solve_mild,
@@ -162,20 +163,15 @@ def test_apply_K_checks_mode_count():
 def test_nemytskii_without_nonlinearity_is_zero():
     prob = single_mode()
     grid = TimeGrid(1.0, 32)
-    from fracevol.greens import Trajectory
-
-    z = Trajectory(grid, np.ones((33, 1)))
-    assert np.all(nemytskii(prob, z).states == 0.0)
+    assert np.all(_eval_source(prob, grid.nodes, np.ones((33, 1))) == 0.0)
 
 
 def test_nemytskii_respects_declared_bounds():
     prob = demo_problem(n_modes=6)
     grid = TimeGrid(1.0, 48)
     rng = np.random.default_rng(61)
-    from fracevol.greens import Trajectory
-
     z = Trajectory(grid, rng.standard_normal((49, 6)))
-    out = nemytskii(prob, z)
+    out = Trajectory(grid, _eval_source(prob, grid.nodes, z.states))
     f = prob.nonlinearity
     bound = f.lipschitz_bound * trajectory_sup_norm(z) + f.source_bound
     assert trajectory_sup_norm(out) <= bound + 1e-12
@@ -184,20 +180,18 @@ def test_nemytskii_respects_declared_bounds():
 def test_nemytskii_constant_state_scales_with_time_profile():
     prob = demo_problem(n_modes=4)
     grid = TimeGrid(1.0, 16)
-    from fracevol.greens import Trajectory
-
-    z = Trajectory(grid, np.tile(np.array([0.3, -0.1, 0.2, 0.0]), (17, 1)))
-    out = nemytskii(prob, z)
+    z = np.tile(np.array([0.3, -0.1, 0.2, 0.0]), (17, 1))
+    out = _eval_source(prob, grid.nodes, z)
     # the demo source separates: spatial transform times 1 / (t^2 + 1)
-    scaled = out.states * (grid.nodes ** 2 + 1.0)[:, None]
+    scaled = out * (grid.nodes ** 2 + 1.0)[:, None]
     assert np.max(np.abs(scaled - scaled[0])) < 1e-12
 
 
 def test_nemytskii_fails_fast_on_a_bad_source():
-    from fracevol.greens import Nonlinearity, Trajectory
+    from fracevol.greens import Nonlinearity
 
     grid = TimeGrid(1.0, 16)
-    z = Trajectory(grid, np.ones((17, 4)))
+    z = np.ones((17, 4))
     for fn, message in (
         (
             lambda t, u: np.where((np.asarray(t) >= 0.5)[..., None], np.inf, u),
@@ -216,7 +210,7 @@ def test_nemytskii_fails_fast_on_a_bad_source():
             nonlinearity=Nonlinearity(fn=fn, lipschitz_bound=1.0, source_bound=1.0),
         )
         with pytest.raises(DomainError, match=message):
-            nemytskii(prob, z)
+            _eval_source(prob, grid.nodes, z)
 
 
 # ------------------------------------------------------------------ gramian
@@ -640,7 +634,7 @@ def test_regularized_map_dissipative_envelope():
         u2n = levels[2 * n]
         gap = np.linalg.norm(un.states - u2n.states, axis=1)
         energy_gap = float(np.sum(w * gap * gap))
-        f_of_un = nemytskii(prob, un)
+        f_of_un = Trajectory(grid, _eval_source(prob, grid.nodes, un.states))
         q = trajectory_sup_norm(f_of_un)
         assert energy_gap <= 4.0 * q * q / (beta_dissipative * n)
 

@@ -20,14 +20,9 @@ from fracevol.fraccalc import (
     _fast_len,
     _uniform_kernel,
     caputo_derivative,
-    rl_derivative,
     rl_integral,
-    rl_integral_at,
-    singular_convolution,
     singular_convolution_all,
-    singular_convolution_at,
     singular_kernel_weights,
-    rl_integral as _rl,  # noqa: F401  (alias exercised below)
 )
 from fracevol.constants import CAPUTO_CONST_TOL, QUADRATURE_MATCH_TOL
 from fracevol.specfun import gamma, mittag_leffler
@@ -127,12 +122,12 @@ def test_rl_integral_quadratic_second_order():
 
 
 def test_rl_integral_at_matches_node_values():
+    # the power weights at a node t, dotted with the data, are rl_integral there
     g, f = grid_fn(1.0, 32, lambda t: np.cos(t))
     nodewise = rl_integral(0.7, f).values
     for i in (1, 7, 32):
-        assert rl_integral_at(0.7, f, g.nodes[i]) == pytest.approx(
-            nodewise[i], rel=1e-13, abs=1e-15
-        )
+        at_t = singular_kernel_weights(0.7, np.ones_like, g, g.nodes[i]) @ f.values / gamma(0.7)
+        assert at_t == pytest.approx(nodewise[i], rel=1e-13, abs=1e-15)
 
 
 def test_rl_integral_at_off_grid_exact_for_linear():
@@ -141,7 +136,8 @@ def test_rl_integral_at_off_grid_exact_for_linear():
     g, f = grid_fn(1.0, 32, lambda t: t)
     for t in (0.3, 0.617, 0.999):
         ref = oracles.frac_integral_power(alpha, 1.0, t)
-        assert rl_integral_at(alpha, f, t) == pytest.approx(ref, rel=1e-12)
+        at_t = singular_kernel_weights(alpha, np.ones_like, g, t) @ f.values / gamma(alpha)
+        assert at_t == pytest.approx(ref, rel=1e-12)
 
 
 def test_power_weights_total_mass():
@@ -207,23 +203,6 @@ def test_caputo_node0_extrapolation_rule():
     assert out[0] == pytest.approx(3 * out[1] - 3 * out[2] + out[3], rel=1e-12)
 
 
-def test_rl_derivative_of_constant():
-    g, f = grid_fn(1.0, 64, lambda t: 3.0 + 0.0 * t)
-    out = rl_derivative(0.4, f)
-    assert out.node0_extrapolated
-    for i, t in enumerate(g.nodes[1:], start=1):
-        ref = 3.0 * t ** (-0.4) / gamma(0.6)
-        assert out.values[i] == pytest.approx(ref, rel=1e-12)
-
-
-def test_rl_derivative_matches_caputo_for_zero_start():
-    g, f = grid_fn(1.0, 64, lambda t: t)
-    rl = rl_derivative(0.5, f).values
-    cap = caputo_derivative(0.5, f).values
-    assert np.max(np.abs(rl - cap)) < 1e-14
-    assert rl[10] == pytest.approx(oracles.caputo_power(0.5, 1.0, g.nodes[10]), rel=1e-12)
-
-
 def test_fractional_operators_are_linear():
     rng = np.random.default_rng(915)
     g = TimeGrid(1.0, 48)
@@ -232,8 +211,7 @@ def test_fractional_operators_are_linear():
     fa, fb = SampledFn(g, a_vals), SampledFn(g, b_vals)
     combo = SampledFn(g, 2.5 * a_vals - 1.25 * b_vals)
     for op in (lambda f: rl_integral(0.65, f).values,
-               lambda f: caputo_derivative(0.65, f).values,
-               lambda f: rl_derivative(0.65, f).values):
+               lambda f: caputo_derivative(0.65, f).values):
         lhs = op(combo)
         rhs = 2.5 * op(fa) - 1.25 * op(fb)
         scale = np.max(np.abs(rhs)) + 1.0
@@ -272,13 +250,14 @@ def test_singular_convolution_unit_kernel_moment():
     h = lambda tau: np.ones_like(np.asarray(tau, dtype=float))
     for i in range(21):
         ref = g.nodes[i] ** alpha / alpha
-        assert singular_convolution(alpha, h, f, i) == pytest.approx(ref, rel=1e-13, abs=1e-15)
+        conv = singular_kernel_weights(alpha, h, g, g.nodes[i]) @ f.values
+        assert conv == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
 
 def test_singular_convolution_zero_data():
     g, f = grid_fn(1.0, 12, lambda t: 0.0 * t)
     h = lambda tau: np.exp(-np.asarray(tau))
-    assert singular_convolution(0.5, h, f, 12) == 0.0
+    assert singular_kernel_weights(0.5, h, g, g.nodes[12]) @ f.values == 0.0
 
 
 def test_singular_convolution_ml_kernel_against_series_oracle():
@@ -312,7 +291,8 @@ def test_singular_convolution_all_matches_pointwise():
     batch = singular_convolution_all(alpha, smooth, f)
     h = lambda tau: np.exp(-2.0 * np.asarray(tau, dtype=float))
     for i in (0, 1, 17, 40):
-        assert batch[i] == pytest.approx(singular_convolution(alpha, h, f, i), rel=1e-12, abs=1e-14)
+        pointwise = singular_kernel_weights(alpha, h, g, g.nodes[i]) @ f.values
+        assert batch[i] == pytest.approx(pointwise, rel=1e-12, abs=1e-14)
 
 
 def test_singular_convolution_vector_data():
@@ -321,7 +301,7 @@ def test_singular_convolution_vector_data():
     vals = np.column_stack([g.nodes, np.ones(25)])
     f = SampledFn(g, vals)
     h = lambda tau: np.ones_like(np.asarray(tau, dtype=float))
-    out = singular_convolution(alpha, h, f, 24)
+    out = singular_kernel_weights(alpha, h, g, g.nodes[24]) @ f.values
     assert out.shape == (2,)
     assert out[1] == pytest.approx(1.0 ** alpha / alpha, rel=1e-13)
 
@@ -333,7 +313,7 @@ def test_singular_convolution_at_off_grid_linear_data():
     h = lambda tau: np.ones_like(np.asarray(tau, dtype=float))
     for t in (0.3, 0.55, 0.8131):
         ref = t ** (alpha + 1.0) / (alpha * (alpha + 1.0))
-        assert singular_convolution_at(alpha, h, f, t) == pytest.approx(ref, rel=1e-12)
+        assert singular_kernel_weights(alpha, h, g, t) @ f.values == pytest.approx(ref, rel=1e-12)
 
 
 def test_singular_convolution_at_ml_kernel_off_grid():
@@ -345,7 +325,7 @@ def test_singular_convolution_at_ml_kernel_off_grid():
     )
     for t in (0.3, 0.6):
         ref = oracles.resolvent_kernel_integral(alpha, lam, t)
-        assert singular_convolution_at(alpha, h, f, t) == pytest.approx(ref, abs=2e-4)
+        assert singular_kernel_weights(alpha, h, g, t) @ f.values == pytest.approx(ref, abs=2e-4)
 
 
 def test_singular_convolution_ties_to_rl_integral():
@@ -356,17 +336,18 @@ def test_singular_convolution_ties_to_rl_integral():
     h = lambda tau: np.ones_like(np.asarray(tau, dtype=float))
     ri = rl_integral(alpha, f).values
     for i in (3, 25, 50):
-        conv = singular_convolution(alpha, h, f, i)
+        conv = singular_kernel_weights(alpha, h, g, g.nodes[i]) @ f.values
         assert conv == pytest.approx(gamma(alpha) * ri[i], rel=QUADRATURE_MATCH_TOL, abs=1e-13)
 
 
 def test_singular_convolution_index_bounds():
-    g, f = grid_fn(1.0, 8, lambda t: t)
+    # the upper limit one step past either end of the grid
+    g = TimeGrid(1.0, 8)
     h = lambda tau: np.ones_like(np.asarray(tau, dtype=float))
     with pytest.raises(DomainError):
-        singular_convolution(0.5, h, f, 9)
+        singular_kernel_weights(0.5, h, g, 9 * g.delta)
     with pytest.raises(DomainError):
-        singular_convolution(0.5, h, f, -1)
+        singular_kernel_weights(0.5, h, g, -g.delta)
 
 
 # ------------------------------------------------------------- column contract
@@ -460,7 +441,7 @@ def test_kernel_weights_at_horizon_read_the_lags_k_delta(horizon, n):
     assert np.array_equal(seen[0][n + 1 :], [0.0, 0.0])
 
 
-@pytest.mark.parametrize("op", [caputo_derivative, rl_derivative])
+@pytest.mark.parametrize("op", [caputo_derivative])
 def test_derivatives_of_columns_match_column_calls(op):
     g = TimeGrid(1.0, 30)
     data = np.column_stack([1.0 + g.nodes ** 2, np.sin(3.0 * g.nodes) + 0.5])
@@ -582,9 +563,8 @@ def test_product_quadrature_at_length_2n_matches_node_by_node_quadrature(n):
     for alpha in (0.35, 0.75, 1.0):
         out = ProductQuadrature(alpha, grid, table)(data)
         for m, rate in enumerate(FOLDING_RATES):
-            column = SampledFn(grid, data[:, m])
             kernel = lambda lags, rate=rate: np.exp(-rate * lags)
-            ref = [singular_convolution_at(alpha, kernel, column, t) for t in grid.nodes]
+            ref = [singular_kernel_weights(alpha, kernel, grid, t) @ data[:, m] for t in grid.nodes]
             assert np.max(np.abs(out[:, m] - ref)) <= QUADRATURE_MATCH_TOL * np.max(
                 np.abs(out[:, m])
             )

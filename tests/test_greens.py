@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from fracevol.constants import NEUMANN_CLOSED_FORM_TOL, SOLVE_MAX_ITER_DEFAULT
 from fracevol.errors import AdmissibilityError, ConvergenceError, DomainError, SourceError
-from fracevol.fraccalc import SampledFn, TimeGrid, singular_convolution_at
+from fracevol.fraccalc import SampledFn, TimeGrid, singular_kernel_weights
 from fracevol.greens import (
     Nonlinearity,
     NonlocalSpec,
@@ -385,11 +385,11 @@ def test_green_form_matches_solver_representation():
         t = grid.nodes[i]
         rebuilt = np.zeros(2)
         for m, lam in enumerate(prob.model.lambdas):
-            fm = SampledFn(grid, forcing[:, m])
-            direct = singular_convolution_at(alpha, kern(lam), fm, t)
+            fm = forcing[:, m]
+            direct = singular_kernel_weights(alpha, kern(lam), grid, t) @ fm
             pinned = 0.0
             for ck, tk in zip(prob.coupling.weights, prob.coupling.times):
-                jk = singular_convolution_at(alpha, kern(lam), fm, tk)
+                jk = singular_kernel_weights(alpha, kern(lam), grid, tk) @ fm
                 pinned += ck * jk
             decay = decay_factors(prob.model, alpha, t)[m]
             rebuilt[m] = decay * o[m] * pinned + direct

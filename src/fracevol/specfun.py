@@ -17,10 +17,9 @@ the series peak X = |z|**(1/alpha) decides the chain:
   gate stops early, see ``_series_doom``);
 * every point left tries the branch cut (gate ``ML_ASYMP_ACCEPT``);
 * its misses with X > 34 try the tail expansion in powers of 1/z, each
-  row truncated at its own smallest term (same gate), then adaptive
-  quadrature (scipy's ``quad``, imported only then); those with X <= 34
-  the series in extended precision (below; 45 digits at most), as
-  ``quad`` misses them too when alpha is near 1 and beta is not 1 or alpha.
+  row truncated at its own smallest term (same gate), then the branch cut
+  split at the wall chi = 1 (same gate); those with X <= 34 (45 digits at
+  most) and that rule's misses, the series in extended precision (below).
 
 The branch cut (collapsed Hankel contour, Gorenflo, Loutchko & Luchko) is
 a tanh-sinh rule on [0, |z|] plus an exp-sinh rule on [|z|, inf), summed
@@ -32,9 +31,9 @@ a non-integrable ridge), so a negative point tries the series (X <= 34),
 then the tail expansion, then extended precision (mpmath, imported only
 then).  The same chain serves alpha within 1e-4 below 1, where the
 branch-cut integrand has a ridge of width pi (1 - alpha) at chi = |z|
-that neither quadrature resolves (at alpha = 0.99999 both miss it, at
-0.99995 both still get it).  Within 1e-4 of alpha = 1 on either side,
-the tail expansion's gate also counts the contribution of the poles
+that the double-exponential rule misses at alpha = 0.99999 (at 0.99995
+it still resolves it).  Within 1e-4 of alpha = 1 on either side, the
+tail expansion's gate also counts the contribution of the poles
 s**alpha = z next to the negative axis, which its truncation estimate
 cannot see; relative to the value it grows like 1 / |1 - alpha|, and
 outside the band it stays below ML_REL_TOL.
@@ -42,7 +41,7 @@ outside the band it stays below ML_REL_TOL.
 
 Gamma, log Gamma and 1/Gamma come from the standard library's
 ``math.gamma`` and ``math.lgamma``, so importing this module loads numpy
-only; scipy and mpmath load on the first point that needs their route.
+only; mpmath loads on the first point that needs its route.
 """
 from __future__ import annotations
 
@@ -301,15 +300,11 @@ def _reduce_beta(alpha: float, beta: float) -> tuple[float, list[float]]:
     return b, shifts
 
 
-def _branch_cut_nodes(alpha: float, b: float):
-    """Nodes of the branch-cut rule in the scaled variable a = chi / |z|.
+def _branch_cut_lattices(alpha: float, b: float):
+    """(pw, (a_ts, w_ts), (a_es, w_es), (sa, sb, ca, s2)) of the branch cut.
 
-    With chi = |z| a the integral is |z|**pw * sum_k c_k exp(-X A_k),
-    X = |z|**(1/alpha), A_k = a_k**(1/alpha), pw = (1 - b) / alpha: every
-    node constant is independent of z.  Tanh-sinh nodes cover a in (0, 1],
-    exp-sinh nodes a in [1, inf); both lattices run over even multiples of
-    the step, so the even nodes form the rule of step 2h.  Returns
-    (A_even, c_even, A_odd, c_odd, end columns of the even set).
+    Tanh-sinh nodes and weights on (0, 1], exp-sinh ones on [1, inf), both
+    over even multiples of the step: every second node forms step 2h.
     """
     h = _DE_STEP
     pw = (1.0 - b) / alpha
@@ -336,6 +331,19 @@ def _branch_cut_nodes(alpha: float, b: float):
     # a**2 + 2 a cos(pi alpha) + 1 as a sum of squares, which keeps its
     # relative accuracy at the ridge a = -cos(pi alpha) when alpha -> 1
     s2 = math.sin(math.pi * alpha) ** 2
+    return pw, (a_ts, w_ts), (a_es, w_es), (sa, sb, ca, s2)
+
+
+def _branch_cut_nodes(alpha: float, b: float):
+    """Nodes of the branch-cut rule in the scaled variable a = chi / |z|.
+
+    With chi = |z| a the integral is |z|**pw * sum_k c_k exp(-X A_k),
+    X = |z|**(1/alpha), A_k = a_k**(1/alpha), pw = (1 - b) / alpha: every
+    node constant is independent of z.  Tanh-sinh nodes cover a in (0, 1],
+    exp-sinh nodes a in [1, inf) (``_branch_cut_lattices``).  Returns
+    (A_even, c_even, A_odd, c_odd, end columns of the even set).
+    """
+    pw, (a_ts, w_ts), (a_es, w_es), (sa, sb, ca, s2) = _branch_cut_lattices(alpha, b)
 
     def parts(a, w):
         c = w * a ** pw * (a * sa + sb) / ((a + ca) ** 2 + s2) / (math.pi * alpha)
@@ -411,33 +419,30 @@ def _branch_cut(alpha: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.n
     return (-z) ** ((1.0 - b) / alpha) * value, est
 
 
-def _branch_cut_quad(alpha: float, b: float, z: float) -> float:
-    """The branch-cut integral at one point by adaptive quadrature."""
-    from scipy.integrate import quad
+def _branch_cut_wall(alpha: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The branch-cut integral in chi, split at the wall chi = 1 of exp(-chi**(1/alpha)).
 
-    sa = math.sin(math.pi * (1.0 - b))
-    sb = math.sin(math.pi * (b - alpha if abs(b - alpha) < 0.1 else 1.0 - b + alpha))
-    ca = math.cos(math.pi * alpha)
-    x = -z
-    inv_alpha = 1.0 / alpha
-    pw = (1.0 - b) / alpha
-
-    def integrand(chi: float) -> float:
-        if chi <= 0.0:
-            return 0.0
-        num = chi * sa - z * sb
-        den = chi * chi - 2.0 * chi * z * ca + z * z
-        return chi ** pw * math.exp(-chi ** inv_alpha) * num / den / (math.pi * alpha)
-
-    # exp(-chi**(1/alpha)) is dead beyond 460**alpha; keep the ridge near
-    # chi = |z| well inside the interval
-    upper = max(460.0 ** alpha, 2.5 * x)
-    points = [x] if x < upper else None
-    # epsrel sits at the float64 floor, so quadpack may flag its own
-    # roundoff limit; full_output keeps that out of the warning stream
-    # (accuracy is pinned against series oracles in the test suite)
-    return quad(integrand, 0.0, upper, points=points, limit=800,
-                epsabs=1e-280, epsrel=5e-14, full_output=1)[0]
+    Tanh-sinh in chi on (0, 1], exp-sinh in s = chi**(1/alpha) on [1, inf)
+    with weight alpha s**(alpha - b) exp(-s), on ``_branch_cut_lattices``.
+    Returns (values, relative error estimates): S_h, estimated by |S_h -
+    S_2h| plus h times the end terms and eps times all |terms|, over |S_h|.
+    """
+    pw, (chi, w_ts), (s, w_es), (sa, sb, ca, s2) = _branch_cut_lattices(alpha, b)
+    # per node chi and its factor free of z; with r = chi / |z| the rest is
+    # (r sa + sb) / ((r + ca)**2 + s2) / (pi alpha |z|), clear of overflow
+    even = np.concatenate([np.arange(chi.size) % 2 == 0, np.arange(s.size) % 2 == 0])
+    ends = [0, chi.size - 1, chi.size, even.size - 1]
+    k = np.concatenate([w_ts * chi ** pw * np.exp(-chi ** (1.0 / alpha)),
+                        alpha * w_es * s ** (alpha - b) * np.exp(-s)])
+    chi = np.concatenate([chi, s ** alpha])
+    sums = np.empty((3, z.size))
+    for rows in _row_blocks(z.size, chi.size):
+        r = chi / -z[rows, None]
+        p = k * (r * sa + sb) / ((r + ca) ** 2 + s2)
+        mag = np.abs(p)
+        sums[:, rows] = p.sum(1), p[:, even].sum(1), mag[:, ends].sum(1) + _EPS * mag.sum(1)
+    fine, coarse, edge = _DE_STEP * sums
+    return fine / (math.pi * alpha * -z), (np.abs(fine - 2.0 * coarse) + edge) / np.abs(fine)
 
 
 def _extended_precision_series(alpha: float, beta: float, z: float) -> float:
@@ -512,17 +517,20 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     b, shifts = _reduce_beta(alpha, beta)
     zr = z[rest]
     value, est = _branch_cut(alpha, b, zr)
-    # misses past the series band: the tail expansion, then adaptive quadrature
+    # misses past the series band: the tail expansion, then the rule split at the wall
     missed = ~(est <= ML_ASYMP_ACCEPT)
     far = np.flatnonzero(missed & ~near)
     tail_value, tail_ok = _tail(alpha, beta, zr[far])
-    for i in far[~tail_ok]:
-        value[i] = _branch_cut_quad(alpha, b, float(zr[i]))
+    wall = far[~tail_ok]
+    last = missed & near
+    if wall.size:
+        value[wall], est = _branch_cut_wall(alpha, b, zr[wall])
+        last[wall] = ~(est <= ML_ASYMP_ACCEPT)
     for bb in reversed(shifts):
         value = (value - _rgamma(bb)) / zr
     value[far[tail_ok]] = tail_value[tail_ok]
-    # a missed point of mild cancellation: at most 45 digits, with beta itself
-    for i in np.flatnonzero(missed & near):
+    # with beta itself: a missed point of mild cancellation, or a wall-rule miss
+    for i in np.flatnonzero(last):
         value[i] = _extended_precision_series(alpha, beta, float(zr[i]))
     out[rest] = value
     return out
@@ -555,10 +563,12 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """E_{alpha,beta}(z) for real z, alpha in (0, 2], beta > 0.
 
     Relative accuracy 1e-10 or better for |z| <= 50 (and far better over
-    most of that range); for z <= 0 with beta = 1 the value lies in
-    (0, 1].  Values beyond float64 range (large positive z with small
-    alpha) come back as inf.  Tables of many arguments should go through
-    ``mittag_leffler_array``, which gives the same bits per point.
+    most of that range); past that, each route's own error estimate (for
+    the branch cut, of the integral before the beta shifts) must clear its
+    gate, an estimate and not a bound.  For z <= 0 with beta = 1 the value
+    lies in (0, 1].  Values beyond float64 range (large positive z with
+    small alpha) come back as inf.  Tables of many arguments should go
+    through ``mittag_leffler_array``, which gives the same bits per point.
     """
     return float(mittag_leffler_array(alpha, beta, [float(z)])[0])
 

@@ -92,27 +92,32 @@ def test_ml_negative_z_in_exponent_form(z):
 
 
 def test_cli_leaves_scipy_integrate_unimported():
-    # adaptive quadrature is only the Mittag-Leffler fallback; neither the
-    # import nor a demo-range evaluation may pay for loading it
+    # no Mittag-Leffler route needs scipy: with every scipy import made to
+    # fail, points that reach the rule split at the wall still evaluate
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "import fracevol.cli\n"
-        "assert 'scipy.integrate' not in sys.modules, 'import'\n"
-        "assert fracevol.cli.main(['ml', '0.75', '0.75', '-8']) == 0\n"
-        "assert 'scipy.integrate' not in sys.modules, 'ml'\n"
+        "from fracevol import specfun\n"
+        "assert fracevol.cli.main(['ml', '0.2', '0.35', '-5']) == 0\n"
+        "assert fracevol.cli.main(['ml', '0.9', '1', '-1e5']) == 0\n"
+        "print(*specfun.mittag_leffler_array(0.2, 0.35, [-4.6, -5.3, -5.75]))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert float(out.stdout) == pytest.approx(mittag_leffler(0.75, 0.75, -8.0), rel=1e-12)
+    values = [float(v) for v in out.stdout.split()]
+    assert values[0] == pytest.approx(mittag_leffler(0.2, 0.35, -5.0), rel=1e-12)
+    assert out.stdout.split()[1] == "1.0511544325e-06"
+    assert values[2:] == [mittag_leffler(0.2, 0.35, q) for q in (-4.6, -5.3, -5.75)]
 
 
 def test_cli_leaves_scipy_unimported(tmp_path):
-    # the package runs on numpy and the standard library; scipy backs only
-    # the lazy quadrature fallback, and mpmath only the extended-precision
-    # series, neither of which the demo configs reach; numpy.ma, which
-    # np.unique loads unless asked for return_inverse, costs about 15 ms
+    # the package runs on numpy and the standard library; scipy serves only
+    # the tests, and mpmath only the extended-precision series, which the
+    # demo configs do not reach; numpy.ma, which np.unique loads unless
+    # asked for return_inverse, costs about 15 ms
     configs = REPO / "demos" / "configs"
     heat = str(tmp_path / "heat")
     code = (

@@ -249,23 +249,32 @@ def test_ml_shift_recurrence_property(alpha, beta, z):
         # the double-exponential estimate misses its gate here, and the
         # tail expansion and the series miss theirs
         (0.2, (0.35,), -np.array([4.6, 5.0, 5.3, 5.75])),
+        # far field: the tail expansion gives nan here, so the branch cut
+        # split at the wall serves these points
+        (0.9, (1.0, 0.9), -np.array([3e4, 1e5])),
     ],
 )
 def test_ml_array_against_oracle_with_fallback(monkeypatch, alpha, betas, z):
-    fallbacks = []
-    quad = specfun._branch_cut_quad
-
-    def counted(*args):
-        fallbacks.append(args)
-        return quad(*args)
-
-    monkeypatch.setattr(specfun, "_branch_cut_quad", counted)
+    wall = _counting(monkeypatch, "_branch_cut_wall")
     for beta in betas:
         got = mittag_leffler_array(alpha, beta, z)
         ref = [oracles.ml_oracle(alpha, beta, float(q)) for q in z]
         assert got == pytest.approx(ref, rel=constants.ML_REL_TOL)
     if alpha == 0.2:
-        assert len(fallbacks) == z.size
+        assert _points(wall) == z.size
+
+
+@pytest.mark.parametrize("alpha,beta,z", [(0.15, 0.1, -1.825447991463726),
+                                          (0.35, 0.3, -4.578173065185914)])
+def test_wall_rule_misses_take_extended_precision(monkeypatch, alpha, beta, z):
+    # next to a zero of E past the series band (X = 55 and 77) every
+    # float64 route misses its gate, the rule split at the wall too; the
+    # series in extended precision answers, not an error
+    wall = _counting(monkeypatch, "_branch_cut_wall")
+    mp = _counting(monkeypatch, "_extended_precision_series")
+    got = mittag_leffler(alpha, beta, z)
+    assert _points(wall) == 1 and len(mp) == 1
+    assert got == pytest.approx(oracles.ml_oracle(alpha, beta, z), rel=constants.ML_REL_TOL)
 
 
 @pytest.mark.parametrize("alpha", [0.9998, 0.9999, 0.99995, 0.99999, 1.00001])
@@ -503,18 +512,11 @@ def test_rgamma_poles_and_overflow_edges_match_scipy():
 def test_tail_expansion_skips_coefficients_at_rounded_poles(monkeypatch):
     # at alpha = beta = 0.2, beta - alpha k lands within rounding of -1, -2,
     # ...; those coefficients are 0, so the tail expansion serves the whole
-    # band instead of stopping at k = 7 and handing it to adaptive quadrature
-    fallbacks = []
-    quad = specfun._branch_cut_quad
-
-    def counted(*args):
-        fallbacks.append(args)
-        return quad(*args)
-
-    monkeypatch.setattr(specfun, "_branch_cut_quad", counted)
+    # band instead of stopping at k = 7 and handing it to the last resort
+    wall = _counting(monkeypatch, "_branch_cut_wall")
     z = -np.linspace(4.5, 60.0, 40)
     got = mittag_leffler_array(0.2, 0.2, z)
-    assert len(fallbacks) == 0
+    assert _points(wall) == 0
     ref = [oracles.ml_oracle(0.2, 0.2, float(q)) for q in z]
     assert got == pytest.approx(ref, rel=constants.ML_REL_TOL)
 
@@ -523,9 +525,10 @@ def test_tail_expansion_skips_coefficients_at_rounded_poles(monkeypatch):
 
 SWEEP_ALPHAS = [float(a) for a in np.linspace(0.01, 0.99989, 56)]
 SWEEP_BETAS = (0.1, 0.25, 0.35, 0.5, 0.75, 1.0, "alpha", 1.25, 1.5, 2.0, 2.5, 3.0, "1+alpha")
-# (quad, extended-precision) calls per order of the 56-order sweep, taken
-# when the tail expansion still came before the branch cut and the branch
-# cut summed every row at step h; orders not listed made none
+# (last-resort, extended-precision) points per order of the 56-order sweep,
+# taken when the tail expansion still came before the branch cut, the
+# branch cut summed every row at step h and adaptive quadrature was the
+# last resort; orders not listed had none
 SWEEP_FALLBACKS = {
     0: (106, 6), 1: (237, 0), 2: (252, 0), 3: (272, 0), 4: (259, 0), 5: (469, 0),
     6: (275, 0), 7: (258, 0), 8: (202, 0), 9: (169, 0), 10: (164, 0), 11: (213, 0),
@@ -539,29 +542,36 @@ def _beta(alpha, beta):
     return {"alpha": alpha, "1+alpha": 1.0 + alpha}.get(beta, beta)
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=specfun):
+    # the arguments of every call of the route
     calls = []
-    route = getattr(specfun, name)
+    route = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return route(*args)
 
-    monkeypatch.setattr(specfun, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
+def _points(calls):
+    # the points those calls served: each call's last argument is one z or an array
+    return sum(np.size(args[-1]) for args in calls)
+
+
 def test_sweep_fallbacks_do_not_grow(monkeypatch):
-    # 56 orders x 13 betas x SWEEP_Z: the points that reach quad are the
-    # branch cut's misses among the tail's, and the series' misses that
-    # the branch cut misses go to extended precision, as before
-    quad = _counting(monkeypatch, "_branch_cut_quad")
+    # 56 orders x 13 betas x SWEEP_Z: the points that reach the last resort
+    # are the branch cut's misses among the tail's, and the series' misses
+    # that the branch cut misses go to extended precision, as before; each
+    # last-resort point passes its own gate (the call raises otherwise)
+    wall = _counting(monkeypatch, "_branch_cut_wall")
     mp = _counting(monkeypatch, "_extended_precision_series")
     for i, alpha in enumerate(SWEEP_ALPHAS):
-        before = (len(quad), len(mp))
+        before = (_points(wall), len(mp))
         for beta in SWEEP_BETAS:
             mittag_leffler_array(alpha, _beta(alpha, beta), SWEEP_Z)
-        counts = (len(quad) - before[0], len(mp) - before[1])
+        counts = (_points(wall) - before[0], len(mp) - before[1])
         limit = SWEEP_FALLBACKS.get(i, (0, 0))
         assert counts[0] <= limit[0] and counts[1] <= limit[1], (alpha, counts, limit)
 
@@ -595,7 +605,7 @@ def test_verify_tables_past_the_series_band_take_the_branch_cut(monkeypatch):
     tables = _demo_heat_verify_tables(monkeypatch)
     assert sorted(beta for _, beta, _ in tables) == [0.75, 1.0]
     tail = _counting(monkeypatch, "_tail_expansion")
-    quad = _counting(monkeypatch, "_branch_cut_quad")
+    wall = _counting(monkeypatch, "_branch_cut_wall")
     served = []
     branch_cut = specfun._branch_cut
 
@@ -625,7 +635,25 @@ def test_verify_tables_past_the_series_band_take_the_branch_cut(monkeypatch):
             assert abs(got[i] - ref) <= 1e-14 * abs(ref), (alpha, beta, float(q))
             checked += 1
     assert checked >= 40
-    assert not tail and not quad
+    # no call at all, not merely no point
+    assert not tail and not wall
+
+
+def test_steer_assembly_tables_never_reach_the_last_resort(monkeypatch):
+    # the tables fracevol steer builds for demo_steer.ini: one assembly and
+    # its endpoint rows, shared by every steering cell
+    from pathlib import Path
+
+    from fracevol import spectral
+    from fracevol.config import build_grid, build_problem, load_config
+    from fracevol.greens import ResponseAssembly
+
+    cfg = load_config(Path(__file__).resolve().parent.parent / "demos/configs/demo_steer.ini")
+    tables = _counting(monkeypatch, "mittag_leffler_array", spectral)
+    wall = _counting(monkeypatch, "_branch_cut_wall")
+    ResponseAssembly(build_problem(cfg), build_grid(cfg)).endpoint_rows()
+    assert _points(tables) > 10_000
+    assert not wall
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.75, 0.95, 0.99989])

@@ -16,10 +16,9 @@ the series peak X = |z|**(1/alpha) decides the chain:
   ``ML_TAYLOR_ACCEPT``; a row whose terms already prove it must miss that
   gate stops early, see ``_series_doom``);
 * every point left tries the branch cut (gate ``ML_ASYMP_ACCEPT``);
-* its misses with X > 34 try the tail expansion in powers of 1/z, each
-  row truncated at its own smallest term (same gate), then the branch cut
-  split at the wall chi = 1 (same gate); those with X <= 34 (45 digits at
-  most) and that rule's misses, the series in extended precision (below).
+* its misses with X > 34 try the branch cut split at the wall chi = 1
+  (same gate); those with X <= 34 (45 digits at most) and that rule's
+  misses, the series in extended precision (below).
 
 The branch cut (collapsed Hankel contour, Gorenflo, Loutchko & Luchko) is
 a tanh-sinh rule on [0, |z|] plus an exp-sinh rule on [|z|, inf), summed
@@ -28,15 +27,18 @@ progressively: step 2h against 4h, first over each row's leading nodes
 
 For alpha > 1 the branch-cut route is unavailable (the integrand picks up
 a non-integrable ridge), so a negative point tries the series (X <= 34),
-then the tail expansion, then extended precision (mpmath, imported only
-then).  The same chain serves alpha within 1e-4 below 1, where the
-branch-cut integrand has a ridge of width pi (1 - alpha) at chi = |z|
-that the double-exponential rule misses at alpha = 0.99999 (at 0.99995
-it still resolves it).  Within 1e-4 of alpha = 1 on either side, the
-tail expansion's gate also counts the contribution of the poles
-s**alpha = z next to the negative axis, which its truncation estimate
-cannot see; relative to the value it grows like 1 / |1 - alpha|, and
-outside the band it stays below ML_REL_TOL.
+then the tail expansion in powers of 1/z, each row truncated at its own
+smallest term (gate ``ML_ASYMP_ACCEPT``), then extended precision (mpmath,
+imported only then).  The same chain serves alpha within 1e-4 below 1,
+where the branch-cut integrand has a ridge of width pi (1 - alpha) at
+chi = |z| that the double-exponential rule misses at alpha = 0.99999 (at
+0.99995 it still resolves it).  The expansion leaves out the poles
+s**alpha = z, s = X exp(+-i pi/alpha) (Gorenflo, Kilbas, Mainardi &
+Rogosin, Mittag-Leffler Functions, 2014).  Within 1e-4 of alpha = 1 on
+either side they lie next to the negative axis, and the tail's gate
+counts their pair, which its truncation estimate cannot see; relative to
+the value it grows like 1 / |1 - alpha|.  Above the band they lie on the
+principal sheet, and the pair is added to the value.
 ``mittag_leffler`` is the same evaluator on one point.
 
 Gamma, log Gamma and 1/Gamma come from the standard library's
@@ -81,8 +83,8 @@ _DE_DEAD = 40.0
 _DE_CUT = 60.0
 _DE_RUNG = 32
 # half-width of the band around alpha = 1 where the tail expansion's gate
-# counts the pole contribution and, below 1, the branch cut gives way to
-# the extended-precision series (see the module docstring)
+# counts the pole pair instead of adding it and, below 1, the branch cut
+# gives way to the tail expansion and extended precision (see the module docstring)
 _NEAR_ONE = 1e-4
 
 
@@ -260,7 +262,9 @@ def _tail_expansion(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarra
         chain = np.empty((z[rows].size, _TAIL_TERMS + 1))
         chain[:, 0] = 1.0
         chain[:, 1:] = z[rows, None]
-        terms = np.divide.accumulate(chain, axis=1)[:, 1:] * neg_rgamma
+        power = np.divide.accumulate(chain, axis=1)[:, 1:]
+        # a term whose power underflowed is 0, also where 1/Gamma overflowed
+        terms = np.where(power != 0.0, power * neg_rgamma, 0.0)
         mag = np.abs(terms)
         stop = _first_growth(mag, mag[:, before[:-1]])
         # a stop on outgrowing an underflowed live term: rescan that row
@@ -469,22 +473,6 @@ def _extended_precision_series(alpha: float, beta: float, z: float) -> float:
         return float(s)
 
 
-def _tail(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tail-expansion values, and which of them pass ML_ASYMP_ACCEPT."""
-    if not z.size:
-        return z, np.zeros(0, dtype=bool)
-    value, est = _tail_expansion(alpha, beta, z)
-    if abs(alpha - 1.0) <= _NEAR_ONE:
-        # the expansion drops the contribution of the poles s**alpha = z,
-        # next to the negative axis here: 2 x**(1 - beta) exp(x cos(pi/alpha))
-        # / alpha at most, x = |z|**(1/alpha), invisible to its truncation
-        # estimate
-        x = (-z) ** (1.0 / alpha)
-        pole = 2.0 * x ** (1.0 - beta) * np.exp(x * math.cos(math.pi / alpha)) / alpha
-        est = est + pole / np.abs(value)
-    return value, (est <= ML_ASYMP_ACCEPT) & (value != 0.0)
-
-
 def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """Route every point of the 1-D array z; see the module docstring."""
     closed = _closed_form(alpha, beta, z)
@@ -508,29 +496,34 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     near, rest = near[~ok], rest[~ok]
     if not rest.size:
         return out
+    zr = z[rest]
 
     if alpha >= 1.0 - _NEAR_ONE:
-        value, ok = _tail(alpha, beta, z[rest])
-        out[rest[ok]] = value[ok]
-        out[rest[~ok]] = [_extended_precision_series(alpha, beta, float(q)) for q in z[rest[~ok]]]
-        return out
-    b, shifts = _reduce_beta(alpha, beta)
-    zr = z[rest]
-    value, est = _branch_cut(alpha, b, zr)
-    # misses past the series band: the tail expansion, then the rule split at the wall
-    missed = ~(est <= ML_ASYMP_ACCEPT)
-    far = np.flatnonzero(missed & ~near)
-    tail_value, tail_ok = _tail(alpha, beta, zr[far])
-    wall = far[~tail_ok]
-    last = missed & near
-    if wall.size:
-        value[wall], est = _branch_cut_wall(alpha, b, zr[wall])
-        last[wall] = ~(est <= ML_ASYMP_ACCEPT)
-    for bb in reversed(shifts):
-        value = (value - _rgamma(bb)) / zr
-    value[far[tail_ok]] = tail_value[tail_ok]
-    # with beta itself: a missed point of mild cancellation, or a wall-rule miss
-    for i in np.flatnonzero(last):
+        value, est = _tail_expansion(alpha, beta, zr)
+        # the poles s**alpha = z, x = |z|**(1/alpha), add a pair of amplitude
+        # 2 x**(1 - beta) exp(x cos(pi/alpha)) / alpha to E
+        x = (-zr) ** (1.0 / alpha)
+        pole = 2.0 * x ** (1.0 - beta) * np.exp(x * math.cos(math.pi / alpha)) / alpha
+        if alpha > 1.0 + _NEAR_ONE:
+            # on the principal sheet: add the pair, and the rounding of its phase
+            err = est * np.abs(value) + _EPS * x * pole
+            phase = x * math.sin(math.pi / alpha) + math.pi * (1.0 - beta) / alpha
+            value = value + pole * np.cos(phase)
+            est = err / np.abs(value)
+        else:
+            # next to the negative axis: invisible to the truncation estimate
+            est = est + pole / np.abs(value)
+    else:
+        b, shifts = _reduce_beta(alpha, beta)
+        value, est = _branch_cut(alpha, b, zr)
+        # misses past the series band: the rule split at the wall
+        wall = np.flatnonzero(~(est <= ML_ASYMP_ACCEPT) & ~near)
+        if wall.size:
+            value[wall], est[wall] = _branch_cut_wall(alpha, b, zr[wall])
+        for bb in reversed(shifts):
+            value = (value - _rgamma(bb)) / zr
+    # with beta itself: every point still above its gate
+    for i in np.flatnonzero(~(est <= ML_ASYMP_ACCEPT)):
         value[i] = _extended_precision_series(alpha, beta, float(zr[i]))
     out[rest] = value
     return out

@@ -315,7 +315,9 @@ def tail_expansion_reference(alpha: float, beta: float, z):
         chain = np.empty((z[rows].size, _TAIL_TERMS + 1))
         chain[:, 0] = 1.0
         chain[:, 1:] = z[rows, None]
-        terms = np.divide.accumulate(chain, axis=1)[:, 1:] * neg_rgamma
+        power = np.divide.accumulate(chain, axis=1)[:, 1:]
+        # a term whose power underflowed is 0, also where 1/Gamma overflowed
+        terms = np.where(power != 0.0, power * neg_rgamma, 0.0)
         mag = np.abs(terms)
         # magnitude of the last nonzero term up to each column (inf before any)
         last_nz = np.maximum.accumulate(np.where(mag != 0.0, col, -1), axis=1)

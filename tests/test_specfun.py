@@ -143,6 +143,27 @@ def test_ml_alpha_above_one_negative_z():
             )
 
 
+@pytest.mark.parametrize("alpha,beta,z", [(1.8, 1.0, -700.0), (1.5, 1.0, -210.0), (1.9, 1.0, -1e4),
+                                          (2.0, 1.5, -2000.0), (1.99, 1.3, -3000.0)])
+def test_ml_alpha_above_one_adds_the_pole_pair(alpha, beta, z):
+    # past the series band the tail expansion alone misses the pair of poles
+    # s = X exp(+-i pi/alpha) on the principal sheet, which dominates here
+    ref = oracles.ml_oracle(alpha, beta, z)
+    assert mittag_leffler(alpha, beta, z) == pytest.approx(ref, rel=constants.ML_REL_TOL, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha,beta,z", [(1.0, 0.5, -200.0), (0.99995, 1.0, -300.0),
+                                          (1.2, 1.0, -1000.0)])
+def test_tail_expansion_terms_past_underflow_are_zero(monkeypatch, alpha, beta, z):
+    # z**-k underflows to 0 where 1/Gamma(beta - alpha k) overflows to inf;
+    # their product is 0, not a nan that sends the point to extended precision
+    mp = _counting(monkeypatch, "_extended_precision_series")
+    got = mittag_leffler(alpha, beta, z)
+    assert not mp
+    ref = oracles.ml_oracle(alpha, beta, z)
+    assert got == pytest.approx(ref, rel=constants.ML_REL_TOL, abs=0.0)
+
+
 def test_oracle_chain():
     # the two oracle routes agree where both are affordable, so the
     # branch-cut route can stand in where the series is not
@@ -247,10 +268,10 @@ def test_ml_shift_recurrence_property(alpha, beta, z):
         (0.55, (1.0, 0.55), -np.geomspace(0.5, 60.0, 20)),
         (0.95, (1.0, 0.95), -np.geomspace(0.5, 60.0, 20)),
         # the double-exponential estimate misses its gate here, and the
-        # tail expansion and the series miss theirs
+        # branch cut split at the wall serves these points
         (0.2, (0.35,), -np.array([4.6, 5.0, 5.3, 5.75])),
-        # far field: the tail expansion gives nan here, so the branch cut
-        # split at the wall serves these points
+        # far field, where the rule split at the wall serves what the
+        # double-exponential rule misses
         (0.9, (1.0, 0.9), -np.array([3e4, 1e5])),
     ],
 )
@@ -333,6 +354,19 @@ SWEEP_TOP_ALPHA = float(np.linspace(0.01, 0.99989, 56)[-1])
 SWEEP_Z = -np.geomspace(0.05, 200.0, 200)
 
 
+@pytest.mark.parametrize("alpha,beta,z", [(0.18998, 0.1, -17.83131470848593),
+                                          (0.207978, 0.35, -7.431328874924312),
+                                          (0.405956, 0.25, -64.90950366750903)])
+def test_branch_cut_misses_past_the_series_band_take_the_wall_rule(monkeypatch, alpha, beta, z):
+    # the tail expansion passed its gate on these sweep points while off by
+    # 7e-14 to 8.5e-14; the rule split at the wall gets them to the oracle
+    wall = _counting(monkeypatch, "_branch_cut_wall")
+    got = mittag_leffler(alpha, beta, z)
+    assert _points(wall) == 1
+    ref = oracles.ml_oracle(alpha, beta, z)
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
 @pytest.mark.parametrize("beta", [2.0, 3.0])
 def test_ml_series_band_misses_go_to_the_branch_cut(beta):
     # X = |z|**(1/alpha) <= 34 here and the series misses its gate; the
@@ -357,10 +391,9 @@ def test_tail_expansion_serves_only_points_past_the_series_band(monkeypatch):
     for alpha in below + (0.99995, 1.5):
         for beta in (0.5, 1.0, alpha, 1.5, 2.0, 3.0):
             mittag_leffler_array(alpha, beta, SWEEP_Z)
-    # below the band the branch cut comes first and may leave the tail
-    # expansion nothing; every point it does get lies past the series band
-    for alpha in below:
-        assert all(peak > specfun._SERIES_CANCEL_LIMIT for peak in peaks.get(alpha, []))
+    # below the band the branch cut and the rule split at the wall serve
+    # every point the series misses
+    assert not any(alpha in peaks for alpha in below)
     # within 1e-4 of alpha = 1 and above 1 there is no branch cut: the
     # series' misses still go to the tail expansion
     for alpha in (0.99995, 1.5):
@@ -442,8 +475,8 @@ TAIL_PARAMS = st.one_of(
     small=st.lists(st.floats(-12.0, 0.0), max_size=16),
 )
 def test_tail_expansion_matches_the_per_row_scan(params, shift, small):
-    # X = |z|**(1/alpha) in [34, 5000], where _evaluate sends points below
-    # the band around alpha = 1, plus |z| in [e**-12, 1]
+    # X = |z|**(1/alpha) in [34, 5000], past the series band, plus |z| in
+    # [e**-12, 1]
     alpha, beta = params
     log_x = np.linspace(math.log(34.0), math.log(5000.0), 161)
     log_x = log_x[:-1] + shift * (log_x[1] - log_x[0])
@@ -509,32 +542,34 @@ def test_rgamma_poles_and_overflow_edges_match_scipy():
         assert specfun._rgamma(x) == special.rgamma(x)
 
 
-def test_tail_expansion_skips_coefficients_at_rounded_poles(monkeypatch):
+def test_tail_expansion_skips_coefficients_at_rounded_poles():
     # at alpha = beta = 0.2, beta - alpha k lands within rounding of -1, -2,
-    # ...; those coefficients are 0, so the tail expansion serves the whole
-    # band instead of stopping at k = 7 and handing it to the last resort
-    wall = _counting(monkeypatch, "_branch_cut_wall")
+    # ...; those coefficients are 0, so the tail expansion passes its gate on
+    # the whole band instead of stopping at k = 7
     z = -np.linspace(4.5, 60.0, 40)
-    got = mittag_leffler_array(0.2, 0.2, z)
-    assert _points(wall) == 0
+    value, est = specfun._tail_expansion(0.2, 0.2, z)
+    assert (est <= constants.ML_ASYMP_ACCEPT).all()
     ref = [oracles.ml_oracle(0.2, 0.2, float(q)) for q in z]
-    assert got == pytest.approx(ref, rel=constants.ML_REL_TOL)
+    assert value == pytest.approx(ref, rel=constants.ML_REL_TOL)
+    assert mittag_leffler_array(0.2, 0.2, z) == pytest.approx(ref, rel=constants.ML_REL_TOL)
 
 
-# ------------------------------------- branch cut before the tail expansion
+# ---------------------------- branch cut, then the rule split at the wall
 
 SWEEP_ALPHAS = [float(a) for a in np.linspace(0.01, 0.99989, 56)]
 SWEEP_BETAS = (0.1, 0.25, 0.35, 0.5, 0.75, 1.0, "alpha", 1.25, 1.5, 2.0, 2.5, 3.0, "1+alpha")
-# (last-resort, extended-precision) points per order of the 56-order sweep,
-# taken when the tail expansion still came before the branch cut, the
-# branch cut summed every row at step h and adaptive quadrature was the
-# last resort; orders not listed had none
+# (wall-rule, extended-precision) points per order of the 56-order sweep;
+# orders not listed had none.  The extended-precision column was taken when
+# the tail expansion still came before the branch cut, the branch cut
+# summed every row at step h and adaptive quadrature was the last resort;
+# the wall-rule column when that rule took every branch-cut miss past the
+# series band, the tail expansion none
 SWEEP_FALLBACKS = {
-    0: (106, 6), 1: (237, 0), 2: (252, 0), 3: (272, 0), 4: (259, 0), 5: (469, 0),
-    6: (275, 0), 7: (258, 0), 8: (202, 0), 9: (169, 0), 10: (164, 0), 11: (213, 0),
-    12: (166, 0), 13: (67, 0), 14: (97, 0), 15: (59, 0), 16: (38, 0), 17: (8, 1),
-    18: (148, 0), 19: (52, 0), 20: (4, 0), 21: (9, 0), 22: (4, 0), 23: (0, 1),
-    24: (3, 0), 55: (0, 1),
+    0: (1644, 6), 1: (1612, 0), 2: (1575, 0), 3: (1531, 0), 4: (1492, 0), 5: (1437, 0),
+    6: (1395, 0), 7: (1341, 0), 8: (1287, 0), 9: (1223, 0), 10: (1168, 0), 11: (1109, 0),
+    12: (1049, 0), 13: (990, 0), 14: (909, 0), 15: (835, 0), 16: (768, 0), 17: (696, 1),
+    18: (625, 0), 19: (542, 0), 20: (478, 0), 21: (397, 0), 22: (311, 0), 23: (244, 1),
+    24: (168, 0), 25: (109, 0), 26: (53, 0), 27: (23, 0), 28: (2, 0), 55: (0, 1),
 }
 
 
@@ -561,12 +596,13 @@ def _points(calls):
 
 
 def test_sweep_fallbacks_do_not_grow(monkeypatch):
-    # 56 orders x 13 betas x SWEEP_Z: the points that reach the last resort
-    # are the branch cut's misses among the tail's, and the series' misses
-    # that the branch cut misses go to extended precision, as before; each
-    # last-resort point passes its own gate (the call raises otherwise)
+    # 56 orders x 13 betas x SWEEP_Z, all below the band around alpha = 1:
+    # the branch cut's misses past the series band go to the rule split at
+    # the wall, never to the tail expansion; that rule's misses and the
+    # branch cut's misses in the series band go to extended precision
     wall = _counting(monkeypatch, "_branch_cut_wall")
     mp = _counting(monkeypatch, "_extended_precision_series")
+    tail = _counting(monkeypatch, "_tail_expansion")
     for i, alpha in enumerate(SWEEP_ALPHAS):
         before = (_points(wall), len(mp))
         for beta in SWEEP_BETAS:
@@ -574,6 +610,7 @@ def test_sweep_fallbacks_do_not_grow(monkeypatch):
         counts = (_points(wall) - before[0], len(mp) - before[1])
         limit = SWEEP_FALLBACKS.get(i, (0, 0))
         assert counts[0] <= limit[0] and counts[1] <= limit[1], (alpha, counts, limit)
+    assert not tail
 
 
 def _demo_heat_verify_tables(monkeypatch):

@@ -14,7 +14,6 @@ QUADRATURE_MATCH_TOL        1e-12      alternative quadrature paths agreement
 CAPUTO_CONST_TOL            1e-14      Caputo derivative of a constant
 RESOLVENT_LAPLACE_TOL       1e-4       resolvent vs truncated Laplace quadrature
 OPERATOR_IDENTITY_TOL       1e-3       integrated-form residual at 512 steps
-NEUMANN_TRUNC_TOL           1e-14      Neumann series truncation threshold
 NEUMANN_CLOSED_FORM_TOL     1e-10      Neumann sum vs closed form, per mode
 SOLVE_TOL_DEFAULT           1e-8       Picard stopping tolerance
 SOLVE_MAX_ITER_DEFAULT      200        Picard iteration cap
@@ -32,7 +31,6 @@ QUADRATURE_MATCH_TOL = 1e-12
 CAPUTO_CONST_TOL = 1e-14
 RESOLVENT_LAPLACE_TOL = 1e-4
 OPERATOR_IDENTITY_TOL = 1e-3
-NEUMANN_TRUNC_TOL = 1e-14
 NEUMANN_CLOSED_FORM_TOL = 1e-10
 SOLVE_TOL_DEFAULT = 1e-8
 SOLVE_MAX_ITER_DEFAULT = 200

@@ -2,8 +2,9 @@
 pinned to a weighted combination of later states.
 
 The initial condition u(0) = sum_k c_k u(t_k) is resolved through the
-per-mode inverse factors of (I - sum_k c_k T(t_k)); the trajectory is then
-the fixed point of
+per-mode inverse factors of (I - sum_k c_k T(t_k)), which in the diagonal
+model are exactly 1 / (1 - q_m), q_m = sum_k c_k E_alpha(-lambda_m t_k**alpha);
+the trajectory is then the fixed point of
 
     u(t) = T(t) u(0) + integral_0^t S(t - s) [B v(s) + f(s, u(s))] ds
 
@@ -22,11 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import NEUMANN_TRUNC_TOL, SOLVE_MAX_ITER_DEFAULT, SOLVE_TOL_DEFAULT
+from .constants import SOLVE_MAX_ITER_DEFAULT, SOLVE_TOL_DEFAULT
 from .errors import AdmissibilityError, ConvergenceError, DomainError, SourceError
-from .fraccalc import ProductQuadrature, SampledFn, TimeGrid, _panel_moments
+from .fraccalc import ProductQuadrature, SampledFn, TimeGrid, _check_order, _panel_moments
 from .fraccalc import singular_kernel_weights
-from .spectral import SpectralModel, decay_factors, ml_table
+from .spectral import SpectralModel, ml_table
 
 __all__ = [
     "NonlocalSpec",
@@ -132,15 +133,14 @@ class ProblemSpec:
     control_gains: np.ndarray | float = 0.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.alpha) and 0.0 < self.alpha <= 1.0):
-            raise DomainError(f"order alpha={self.alpha!r} outside (0, 1]")
+        alpha = _check_order(self.alpha, allow_one=True)
         gains = np.asarray(self.control_gains, dtype=float)
         if gains.ndim == 0:
             gains = np.full(self.model.n_modes, float(gains))
         if gains.shape != (self.model.n_modes,) or not np.all(np.isfinite(gains)):
             raise DomainError("control_gains must be a finite scalar or per-mode vector")
         object.__setattr__(self, "control_gains", gains)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def horizon(self) -> float:
@@ -206,40 +206,37 @@ def check_H1(model: SpectralModel, alpha: float, coupling: NonlocalSpec) -> H1Re
     contraction and its sup over any horizon is exactly 1; the margin is
     therefore 1 - sum_k |c_k|.
     """
-    if not (np.isfinite(alpha) and 0.0 < alpha <= 1.0):
-        raise DomainError(f"order alpha={alpha!r} outside (0, 1]")
+    _check_order(alpha, allow_one=True)
     margin = 1.0 - float(np.sum(np.abs(coupling.weights)))
     return H1Report(margin > 0.0, margin)
 
 
-def build_O(model: SpectralModel, alpha: float, coupling: NonlocalSpec) -> np.ndarray:
-    """Per-mode inverse factors of (I - sum_k c_k T(t_k)), by Neumann summation.
-
-    Terms are accumulated until they fall below NEUMANN_TRUNC_TOL.  The
-    smallness margin guarantees geometric decay; an inadmissible coupling
-    raises before any summation happens.
-    """
+def _check_admissible(model: SpectralModel, alpha: float, coupling: NonlocalSpec) -> None:
+    """Raise AdmissibilityError, carrying the margin, when check_H1 fails."""
     rep = check_H1(model, alpha, coupling)
     if not rep.admissible:
         raise AdmissibilityError(rep.margin)
-    q = np.zeros(model.n_modes)
-    for ck, tk in zip(coupling.weights, coupling.times):
-        q += ck * decay_factors(model, alpha, float(tk))
-    out = np.zeros(model.n_modes)
-    term = np.ones(model.n_modes)
-    for _ in range(100_000):
-        out += term
-        term = term * q
-        if np.max(np.abs(term)) < NEUMANN_TRUNC_TOL:
-            break
-    else:  # pragma: no cover - unreachable under the admissibility guard
-        raise ConvergenceError(
-            "Neumann summation stalled",
-            iterations=100_000,
-            final_residual=float(np.max(np.abs(term))),
-            contraction_estimate=float(np.max(np.abs(q))),
-        )
-    return out
+
+
+def _inverse_factors(weights: np.ndarray, decay_at_pins: np.ndarray) -> np.ndarray:
+    """1 / (1 - q) per mode, q summed over the flow rows at the pins in pin order."""
+    q = np.zeros(decay_at_pins.shape[1])
+    for ck, decay in zip(weights, decay_at_pins):
+        q += ck * decay
+    return 1.0 / (1.0 - q)
+
+
+def build_O(model: SpectralModel, alpha: float, coupling: NonlocalSpec) -> np.ndarray:
+    """Per-mode inverse factors of (I - sum_k c_k T(t_k)), in closed form.
+
+    The flow is diagonal, so the operator is 1 / (1 - q_m) on mode m with
+    q_m = sum_k c_k E_alpha(-lambda_m t_k**alpha): the sum of the Neumann
+    series that the smallness margin makes converge, |q_m| < 1.  An
+    inadmissible coupling raises before any Mittag-Leffler evaluation.
+    """
+    _check_admissible(model, alpha, coupling)
+    decay_at_pins = ml_table(model.lambdas, alpha, 1.0, coupling.times)
+    return _inverse_factors(coupling.weights, decay_at_pins)
 
 
 def _kernel_rows(problem: ProblemSpec, grid: TimeGrid, t: float, kernel=None) -> np.ndarray:
@@ -399,19 +396,22 @@ class ResponseAssembly:
             raise DomainError("grid horizon must match the problem horizon")
         self.problem = problem
         self.grid = grid
-        self.o = build_O(problem.model, problem.alpha, problem.coupling)
-        n_modes = problem.n_modes
+        coupling = problem.coupling
         lams, alpha = problem.model.lambdas, problem.alpha
-        self.decay_nodes = ml_table(lams, alpha, 1.0, grid.nodes)
+        _check_admissible(problem.model, alpha, coupling)
+        # one flow table for the nodes and the pins; each entry keeps the
+        # bits it has in a table of its own (mittag_leffler_array)
+        flow = ml_table(lams, alpha, 1.0, np.concatenate([grid.nodes, coupling.times]))
+        self.decay_nodes, self.decay_at_pins = np.split(flow, [grid.n_steps + 1])
+        self.o = _inverse_factors(coupling.weights, self.decay_at_pins)
         lags = np.arange(grid.n_steps + 1) * grid.delta
         self._lag_table = ml_table(lams, alpha, alpha, lags)
         self._quadrature = ProductQuadrature(alpha, grid, self._lag_table)
         # weight rows turning sampled forcing into the response integral at
         # each pinning time; pinning times may sit strictly between nodes
-        self.pin_rows = np.empty((problem.coupling.n_points, n_modes, grid.n_steps + 1))
-        for k, tk in enumerate(problem.coupling.times):
+        self.pin_rows = np.empty((coupling.n_points, problem.n_modes, grid.n_steps + 1))
+        for k, tk in enumerate(coupling.times):
             self.pin_rows[k] = _kernel_rows(problem, grid, float(tk))
-        self.decay_at_pins = ml_table(lams, alpha, 1.0, problem.coupling.times)
         self._run_limits: dict[tuple[int, float], int] = {}
 
     @cached_property
@@ -512,9 +512,11 @@ class ResponseAssembly:
             run_limit=self._run_limit(max_iter, identity_share),
         )
         if n is None:
-            # final consistency of the pinning identity, under the same quadrature
+            # final consistency of the pinning identity, under the same
+            # quadrature; u[0] is initial_state(forcing), as the flow is
+            # exactly 1 and the quadrature exactly 0 at node 0
             pins = self.pin_responses(forcing)
-            u0 = self.o * (problem.coupling.weights @ pins)
+            u0 = u[0]
             gap = u0 - problem.coupling.weights @ (self.decay_at_pins * u0[None, :] + pins)
             nonlocal_residual = float(np.sqrt(np.sum(gap * gap)))
         else:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .fraccalc import SampledFn, TimeGrid, singular_convolution_all
+from .fraccalc import SampledFn, TimeGrid, _check_order, singular_convolution_all
 from .specfun import gamma, mittag_leffler_array
 
 
@@ -70,13 +70,6 @@ class MsEstimate(NamedTuple):
     raw_grid_sup: float
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
-        raise DomainError(f"order alpha={alpha!r} outside (0, 1]")
-    return alpha
-
-
 def _as_modes(model: SpectralModel, x) -> np.ndarray:
     vec = np.atleast_1d(np.asarray(x, dtype=float))
     if vec.shape != (model.n_modes,):
@@ -96,7 +89,7 @@ def ml_table(lambdas, alpha: float, beta: float, times) -> np.ndarray:
     mittag_leffler gives at that time and rate.  The distinct arguments
     go through one mittag_leffler_array call.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_order(alpha, allow_one=True)
     lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     ok = np.isfinite(ts) & (ts >= 0.0)
@@ -117,14 +110,14 @@ def apply_T(model: SpectralModel, alpha: float, t: float, x) -> np.ndarray:
     """Propagate a coefficient vector with the order-alpha flow; exact at t=0."""
     vec = _as_modes(model, x)
     if float(t) == 0.0:
-        _check_alpha(alpha)
+        _check_order(alpha, allow_one=True)
         return vec.copy()
     return decay_factors(model, alpha, t) * vec
 
 
 def kernel_factors(model: SpectralModel, alpha: float, t: float) -> np.ndarray:
     """Per-mode values t**(alpha-1) * E_{alpha,alpha}(-lambda_n t**alpha), t > 0."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_order(alpha, allow_one=True)
     if t <= 0.0:
         raise DomainError(f"kernel time must be positive, got {t!r}")
     return t ** (alpha - 1.0) * ml_table(model.lambdas, alpha, alpha, t)[0]
@@ -138,7 +131,7 @@ def apply_S(model: SpectralModel, alpha: float, t: float, x) -> np.ndarray:
 
 def resolvent(model: SpectralModel, alpha: float, nu: float, x) -> np.ndarray:
     """(nu**alpha + lambda_n)**(-1) per mode: the Laplace transform of apply_S."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_order(alpha, allow_one=True)
     nu = float(nu)
     if not (math.isfinite(nu) and nu > 0.0):
         raise DomainError(f"transform rate nu must be positive, got {nu!r}")
@@ -154,7 +147,7 @@ def estimate_MT(
     For a dissipative model the sup is attained at t = 0 and equals 1;
     the dense scan confirms rather than assumes that.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_order(alpha, allow_one=True)
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
     times = np.linspace(0.0, horizon, scan_points)[1:]
@@ -166,7 +159,7 @@ def estimate_MS(
     model: SpectralModel, alpha: float, horizon: float, scan_points: int = 257
 ) -> MsEstimate:
     """Weighted and raw sup of the singular family over (0, horizon]."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_order(alpha, allow_one=True)
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
     times = np.linspace(0.0, horizon, scan_points)[1:]
@@ -194,7 +187,7 @@ def check_solution_operator_identity(
     the power-kernel convolution of u_n; the convolution uses the same
     product quadrature as the solver, so this doubles as a scheme check.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_order(alpha, allow_one=True)
     vec = _as_modes(model, x)
     states = ml_table(model.lambdas, alpha, 1.0, grid.nodes) * vec[None, :]
     conv = singular_convolution_all(

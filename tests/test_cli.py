@@ -214,6 +214,30 @@ def test_simulate_writes_deterministic_files(tmp_path):
     assert "nonlocal_residual" in report
 
 
+def test_simulate_demo_heat_meets_its_pinning_identity(tmp_path):
+    # u(0) is formed with the inverse factors 1 / (1 - q) in closed form,
+    # so the pinning identity holds to the rounding of one evaluation
+    cfg = str(REPO / "demos" / "configs" / "demo_heat.ini")
+    out = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "heat"))
+    assert out.returncode == 0, out.stderr
+    fields = dict(
+        line.split() for line in (tmp_path / "heat.report.txt").read_text().splitlines()[1:]
+    )
+    assert float(fields["nonlocal_residual"]) <= 1e-16
+
+
+def test_simulate_admissible_slow_mode_exits_0(tmp_path):
+    # margin 1e-4 with a rate of 1e-6: admissible, and q is 1.01e-4 from 1
+    cfg = tmp_path / "slow.ini"
+    text = SMALL.replace("rule = dirichlet\nn_modes = 2", "rule = explicit\nvalues = 1e-6 1")
+    text = text.replace("coupling_weights = 0.2", "coupling_weights = 0.9999")
+    cfg.write_text(text.replace("coupling_times = 0.4", "coupling_times = 1"))
+    out = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "slow"))
+    assert out.returncode == 0, out.stderr
+    states = read_trajectory(str(tmp_path / "slow.trajectory.txt")).states
+    assert np.all(np.isfinite(states)) and np.any(states != 0.0)
+
+
 def test_simulate_missing_config(tmp_path):
     out = run_cli("simulate", "--config", str(tmp_path / "no.ini"), "--out", str(tmp_path / "x"))
     assert out.returncode == 2

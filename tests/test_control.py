@@ -659,22 +659,22 @@ def test_regularized_map_converges_to_plain_map():
 # product quadrature's FFT at length _fast_len(2 n), the sine source's
 # decay factor applied after its projection and the Mittag-Leffler branch
 # cut serving the points past the series band, each step-2h row summed
-# over its leading nodes (they are float64 bits, so another BLAS or FFT
-# build may move them)
+# over its leading nodes, and the inverse factors 1 / (1 - q) in closed
+# form (they are float64 bits, so another BLAS or FFT build may move them)
 GOLDEN_SOLVES = {
     3: (
-        "b9789ad21e52d3480a92d0656d95f90ff46224268b7fc1ec7e676c128214a1cd",
-        35, 8.419428931816242e-09, 0.01620143677439836, 0.6008961049323567,
+        "ac700608c731a6b5ce7f01b0328c7253a8040d6c7ef593c31d4cf64e0acd4c64",
+        35, 8.419428931816242e-09, 0.016201436774399957, 0.6008961096936658,
         0.8660254037844386,
     ),
     10 ** 6: (
-        "bc6345bb5079119cd24d2925768cf5947790b00161ebb3ef9dd69a708d7714f8",
-        17, 4.851370472014338e-09, 9.739894742154643e-05, 0.3163678257917128,
+        "4888bf98f8342e3dd5b495b773976bd2d6210a01e645a7fdac6d5ef0bf21e297",
+        17, 4.8513703609920356e-09, 9.739894742135735e-05, 0.3163678185517206,
         0.8660254037844386,
     ),
     None: (
-        "35c95a51787d7cba71220a2a0b3b86200e60058cca24bb6906f41fef2031f4e3",
-        17, 4.851164914221329e-09, 8.187986687635046e-16, 0.3163669258985598,
+        "8ba17cd60382dfc83ff1cb0f4579e834af68e1cc700d7c63a4ac32e3b095d71b",
+        17, 4.85116496973248e-09, 1.4304896245381992e-17, 0.31636693180928366,
         0.8660254037844386,
     ),
 }

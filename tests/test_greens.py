@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.fft
@@ -163,6 +164,44 @@ def test_build_O_random_admissible_specs():
         for ck, tk in zip(coupling.weights, coupling.times):
             q += ck * decay_factors(model, alpha, tk)
         assert np.max(np.abs(o - 1.0 / (1.0 - q))) <= NEUMANN_CLOSED_FORM_TOL
+
+
+def inverse_rel_error(o, q):
+    """max over modes of |o - 1 / (1 - q)| / |1 / (1 - q)|, the inverse at 50 digits."""
+    with mp.workdps(50):
+        errs = [abs(mp.mpf(float(om)) * (1 - mp.mpf(float(qm))) - 1) for om, qm in zip(o, q)]
+        return float(max(errs))
+
+
+def flow_sum(model, alpha, coupling):
+    """q = sum_k c_k E_alpha(-lambda t_k**alpha), accumulated pin by pin."""
+    q = np.zeros(model.n_modes)
+    for ck, tk in zip(coupling.weights, coupling.times):
+        q += ck * decay_factors(model, alpha, tk)
+    return q
+
+
+def test_build_O_is_the_inverse_to_two_eps():
+    # the closed form rounds twice, in 1 - q and in the division.  The
+    # second case has margin 1e-4 and a rate of 1e-6: q is 1.01e-4 from 1,
+    # and a Neumann series would need 3.2e5 terms to fall below 1e-14
+    cases = [
+        (SpectralModel.dirichlet_laplacian(8), demo_coupling(), 0.75),
+        (SpectralModel(np.array([1e-6, 1.0])), NonlocalSpec([0.9999], [1.0], 1.0), 0.75),
+    ]
+    rng = np.random.default_rng(2311)
+    while len(cases) < 202:
+        n_pts = int(rng.integers(1, 5))
+        times = np.sort(rng.uniform(0.05, 1.0, n_pts))
+        if np.any(np.diff(times) <= 1e-9):
+            continue
+        weights = rng.uniform(-1.0, 1.0, n_pts)
+        weights *= rng.uniform(0.2, 0.9999) / max(np.sum(np.abs(weights)), 1e-9)
+        model = SpectralModel(np.sort(rng.uniform(1e-3, 60.0, 4)))
+        cases.append((model, NonlocalSpec(weights, times, 1.0), float(rng.uniform(0.3, 1.0))))
+    for model, coupling, alpha in cases:
+        o = build_O(model, alpha, coupling)
+        assert inverse_rel_error(o, flow_sum(model, alpha, coupling)) <= 2 * np.finfo(float).eps
 
 
 def test_build_O_rejects_inadmissible():

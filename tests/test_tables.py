@@ -97,11 +97,32 @@ def test_endpoint_rows_read_the_lag_table_bit_for_bit(ml_calls, case):
     assert reads == []
 
 
+@pytest.mark.parametrize("case", ["demo_steer", "pins_between_nodes", "classical"])
+def test_assembly_flow_table_splits_bit_for_bit(ml_calls, case):
+    # one E_{alpha,1} call over the nodes and the pinning times gives the
+    # bits of a call for each, and the inverse factors of build_O
+    if case == "demo_steer":
+        problem, grid = demo_steer()
+    elif case == "pins_between_nodes":
+        problem, grid = pinned_problem(), TimeGrid(1.0, 32)
+    else:
+        problem, grid = pinned_problem(times=(), weights=()), TimeGrid(1.0, 16)
+    asm = ResponseAssembly(problem, grid)
+    assert len(ml_calls) == 2 + problem.coupling.n_points
+    lams, alpha = problem.model.lambdas, problem.alpha
+    for got, times in ((asm.decay_nodes, grid.nodes), (asm.decay_at_pins, problem.coupling.times)):
+        alone = spectral.ml_table(lams, alpha, 1.0, times)
+        assert got.shape == alone.shape and got.tobytes() == alone.tobytes()
+    o = build_O(problem.model, alpha, problem.coupling)
+    assert asm.o.tobytes() == o.tobytes()
+
+
 def test_steer_on_demo_steer_builds_each_table_once(ml_calls, tmp_path):
-    # flow at the nodes, lag table, two pinning rows, flow at the pins and
-    # the two inverse-factor flows; the endpoint rows read the lag table
+    # one flow table at the nodes and the pinning times (which also gives
+    # the inverse factors), the lag table and two pinning rows; the
+    # endpoint rows read the lag table
     assert cli.main(["steer", "--config", str(DEMO_STEER), "--out", str(tmp_path / "s")]) == 0
-    assert (len(ml_calls), sum(ml_calls)) == (7, 11920)
+    assert (len(ml_calls), sum(ml_calls)) == (4, 11904)
 
 
 # --------------------------------------------------------- Green's function
@@ -182,8 +203,8 @@ def test_green_weighted_sup_builds_once(ml_calls, monkeypatch):
 
     monkeypatch.setattr(greens, "build_O", counted)
     sup = green_weighted_sup(pinned_problem(n_modes=8))
-    assert sup == 0.9502606714697438
-    # one inverse-factor build (one flow table per pin), then one
+    assert sup == 0.9502606714697462
+    # one inverse-factor build (one flow table for both pins), then one
     # E_{alpha,alpha} table and one E_{alpha,1} table for all 768 samples
     assert len(builds) == 1
-    assert len(ml_calls) == 2 + 2
+    assert len(ml_calls) == 1 + 2

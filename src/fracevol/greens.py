@@ -54,9 +54,6 @@ __all__ = [
 _DIVERGENCE_MARGIN = 10
 # half-width over max(1, horizon) of green_apply's singular set {t} union {t_k}
 _SINGULAR_TOL = 1e-13
-# rows per matrix product of sine_collocation_source; a fixed height keeps
-# every row's bits independent of how many rows come in one call
-_SOURCE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -721,12 +718,11 @@ def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity
 
     Both sine transforms (DST-I) are products with one precomputed
     (collocation x collocation) sine matrix, of which a call uses the rows
-    of its modes.  Rows go through in zero-padded
-    blocks of _SOURCE_BLOCK rows, so one (t, u) row and a whole trajectory
-    run the same matrix shapes and every row gets the same bits either way;
-    the sine acts on the live rows only.  The decay factor is constant along
-    a row, so it divides the n_modes result columns after the projection
-    rather than the collocation points before it.
+    of its modes; all rows of a call go through one product each way, so a
+    row's bits may differ by rounding with the number of rows around it.
+    The decay factor is constant along a row, so it divides the n_modes
+    result columns after the projection rather than the collocation points
+    before it.
     """
     if collocation < n_modes:
         raise DomainError("collocation must be at least the mode count")
@@ -741,25 +737,11 @@ def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity
 
     def fn(t, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
+        t = np.asarray(t, dtype=float)
         n = u.shape[-1]
-        rows = u.reshape(-1, n)
-        n_rows = rows.shape[0]
-        n_blocks = -(-n_rows // _SOURCE_BLOCK)
-        padded = np.zeros((n_blocks * _SOURCE_BLOCK, n))
-        padded[:n_rows] = rows
-        times = np.asarray(t, dtype=float)
-        if times.shape != u.shape[:-1]:
-            times = np.broadcast_to(times, u.shape[:-1])
-        times = times.ravel()
-        point_vals = padded.reshape(n_blocks, _SOURCE_BLOCK, n) @ synthesis[:n]
-        # sin on the live rows only; padding rows go to 0
-        flat = point_vals.reshape(-1, k)
-        live = flat[:n_rows]
-        np.sin(live, out=live)
-        flat[n_rows:] = 0.0
-        back = (point_vals @ analysis[:n].T).reshape(-1, n)[:n_rows]
-        back /= (times * times + 1.0)[:, None]
-        return back.reshape(u.shape)
+        point_vals = u @ synthesis[:n]
+        np.sin(point_vals, out=point_vals)
+        return point_vals @ analysis[:n].T / (t * t + 1.0)[..., None]
 
     return Nonlinearity(fn=fn, lipschitz_bound=1.0, source_bound=math.sqrt(math.pi))
 

@@ -29,10 +29,11 @@ For alpha > 1 the branch-cut route is unavailable (the integrand picks up
 a non-integrable ridge), so a negative point tries the series (X <= 34),
 then the tail expansion in powers of 1/z, each row truncated at its own
 smallest term (gate ``ML_ASYMP_ACCEPT``), then extended precision (mpmath,
-imported only then).  The same chain serves alpha within 1e-4 below 1,
-where the branch-cut integrand has a ridge of width pi (1 - alpha) at
-chi = |z| that the double-exponential rule misses at alpha = 0.99999 (at
-0.99995 it still resolves it).  The expansion leaves out the poles
+imported only then; a point needing more than ``_MAX_DIGITS`` digits
+raises UnsupportedRegimeError).  The same chain serves alpha within 1e-4
+below 1, where the branch-cut integrand has a ridge of width pi (1 -
+alpha) at chi = |z| that the double-exponential rule misses at alpha =
+0.99999 (at 0.99995 it still resolves it).  The expansion leaves out the poles
 s**alpha = z, s = X exp(+-i pi/alpha) (Gorenflo, Kilbas, Mainardi &
 Rogosin, Mittag-Leffler Functions, 2014).  Within 1e-4 of alpha = 1 on
 either side they lie next to the negative axis, and the tail's gate
@@ -52,7 +53,7 @@ import math
 import numpy as np
 
 from .constants import ML_ASYMP_ACCEPT, ML_TAYLOR_ACCEPT
-from .errors import DomainError
+from .errors import DomainError, UnsupportedRegimeError
 
 __all__ = ["gamma", "mittag_leffler", "mittag_leffler_array"]
 
@@ -86,6 +87,10 @@ _DE_RUNG = 32
 # counts the pole pair instead of adding it and, below 1, the branch cut
 # gives way to the tail expansion and extended precision (see the module docstring)
 _NEAR_ONE = 1e-4
+# working digits of the extended-precision series at most: about X terms of
+# one mpmath Gamma each at 0.45 X + 30 digits; 580 digits (X = 1,222) took
+# 37 s on a 2-vCPU host, and far past 600 a point would never return
+_MAX_DIGITS = 600
 
 
 def gamma(x: float) -> float:
@@ -223,25 +228,17 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.nd
     return value, est
 
 
-def _first_growth(mag: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """Per row, the first column j >= 1 with mag[j] > prev[j - 1], else all."""
-    grows = mag[:, 1:] > prev
-    return np.where(grows.any(axis=1), grows.argmax(axis=1) + 1, _TAIL_TERMS)
-
-
 def _tail_expansion(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expansion in 1/z for z << 0, each row truncated at its smallest term.
 
     Term k is -z**-k / Gamma(beta - alpha k), k = 1 .. 199.  A row stops
-    before the first term (k > 1) that outgrows the last nonzero one; the
-    omitted term, or the last one if none outgrows, is the error
-    estimate's truncation part.  A coefficient within rounding of a pole
-    of 1/Gamma, or whose Gamma overflows, is exactly 0: its column is dead
-    in every row.  Other zeros lie where z**-k has underflowed, so each
-    column is compared with the last live column before it.  Above beta =
-    165 or so a live term can underflow to 0 mid-row; a row that stops on
-    outgrowing such a 0 is rescanned through its own last nonzero term.  A
-    dead term is nan where z**-k overflows, and both rules keep it.
+    before the first term (k > 1) that outgrows the last nonzero term
+    before it in the same row; the omitted term, or the last one if none
+    outgrows, is the error estimate's truncation part.  Zero terms are
+    skipped: a coefficient within rounding of a pole of 1/Gamma, or whose
+    Gamma overflows, is exactly 0, and so is a term whose z**-k has
+    underflowed (above beta = 165 or so also mid-row).  A dead term is nan
+    where z**-k overflows, and the scan keeps it.
     """
     k = np.arange(1, _TAIL_TERMS + 1, dtype=float)
     arg = beta - alpha * k
@@ -252,9 +249,6 @@ def _tail_expansion(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarra
     pole = np.round(arg)
     neg_rgamma[(pole <= 0.0) & (np.abs(arg - pole) <= 4.0 * _EPS * (beta + alpha * k))] = 0.0
     col = np.arange(_TAIL_TERMS)
-    # before[j - 1]: the last live column before column j, else j itself
-    before = np.maximum.accumulate(np.where(neg_rgamma != 0.0, col, -1))
-    before = np.where(before >= 0, before, col + 1)
     value = np.empty(z.size)
     est = np.empty(z.size)
     for rows in _row_blocks(z.size, _TAIL_TERMS + 1):
@@ -266,15 +260,12 @@ def _tail_expansion(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarra
         # a term whose power underflowed is 0, also where 1/Gamma overflowed
         terms = np.where(power != 0.0, power * neg_rgamma, 0.0)
         mag = np.abs(terms)
-        stop = _first_growth(mag, mag[:, before[:-1]])
-        # a stop on outgrowing an underflowed live term: rescan that row
-        cut = np.flatnonzero(stop < _TAIL_TERMS)
-        odd = cut[mag[cut, before[stop[cut] - 1]] == 0.0]
-        if odd.size:
-            m = mag[odd]
-            last_nz = np.maximum.accumulate(np.where(m != 0.0, col, -1), axis=1)
-            prev = np.take_along_axis(m, np.where(last_nz >= 0, last_nz, col + 1)[:, :-1], axis=1)
-            stop[odd] = _first_growth(m, prev)
+        # magnitude of the last nonzero term up to each column (inf before any)
+        last_nz = np.maximum.accumulate(np.where(mag != 0.0, col, -1), axis=1)
+        prev = np.take_along_axis(mag, np.maximum(last_nz, 0), axis=1)
+        prev[last_nz < 0] = math.inf
+        grows = mag[:, 1:] > prev[:, :-1]
+        stop = np.where(grows.any(axis=1), grows.argmax(axis=1) + 1, _TAIL_TERMS)
         kept = col < stop[:, None]
         total = np.where(kept, terms, 0.0).sum(axis=1)
         abssum = np.where(kept, mag, 0.0).sum(axis=1)
@@ -450,11 +441,17 @@ def _branch_cut_wall(alpha: float, b: float, z: np.ndarray) -> tuple[np.ndarray,
 
 
 def _extended_precision_series(alpha: float, beta: float, z: float) -> float:
-    # last resort for z < 0 with cancellation beyond float64 (see _evaluate)
+    # last resort for z < 0 with cancellation beyond float64 (see _evaluate);
+    # numpy's power gives inf, not OverflowError, past float64 range
+    digits = 0.45 * np.abs(z) ** (1.0 / alpha)
+    if digits + 30 > _MAX_DIGITS:
+        raise UnsupportedRegimeError(
+            f"E_{{alpha,beta}}(z) at alpha={alpha!r}, beta={beta!r}, z={z!r} needs "
+            f"{digits + 30:.3g} digits of extended precision, over the cap of {_MAX_DIGITS}"
+        )
     import mpmath as mp
 
-    peak = abs(z) ** (1.0 / alpha)
-    dps = int(0.45 * peak) + 30
+    dps = int(digits) + 30
     with mp.workdps(dps):
         a = mp.mpf(alpha)
         b = mp.mpf(beta)
@@ -506,7 +503,7 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         pole = 2.0 * x ** (1.0 - beta) * np.exp(x * math.cos(math.pi / alpha)) / alpha
         if alpha > 1.0 + _NEAR_ONE:
             # on the principal sheet: add the pair, and the rounding of its phase
-            err = est * np.abs(value) + _EPS * x * pole
+            err = est * np.abs(value) + _EPS * x * (1.0 + np.log(x)) * pole
             phase = x * math.sin(math.pi / alpha) + math.pi * (1.0 - beta) / alpha
             value = value + pole * np.cos(phase)
             est = err / np.abs(value)
@@ -535,7 +532,8 @@ def mittag_leffler_array(alpha: float, beta: float, z) -> np.ndarray:
     Same contract as ``mittag_leffler``, which is this function on one
     point: each entry's value is the same bits whatever else is in the
     array and in whatever order.  Raises DomainError naming the first
-    non-finite entry.
+    non-finite entry, and UnsupportedRegimeError for a point whose series
+    in extended precision would need more than ``_MAX_DIGITS`` digits.
     """
     alpha = float(alpha)
     beta = float(beta)

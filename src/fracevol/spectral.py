@@ -86,8 +86,8 @@ def ml_table(lambdas, alpha: float, beta: float, times) -> np.ndarray:
 
     Row i holds times[i], column n the rate lambdas[n].  t**alpha is the
     scalar float power, so an entry is bit for bit what the scalar
-    mittag_leffler gives at that time and rate.  The distinct arguments
-    go through one mittag_leffler_array call.
+    mittag_leffler gives at that time and rate.  The whole table goes
+    through one mittag_leffler_array call.
     """
     alpha = _check_order(alpha, allow_one=True)
     lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
@@ -96,9 +96,7 @@ def ml_table(lambdas, alpha: float, beta: float, times) -> np.ndarray:
     if not ok.all():
         raise DomainError(f"time must be finite and nonnegative, got {float(ts[~ok][0])!r}")
     t_alpha = np.array([float(t) ** alpha for t in ts])
-    args = -lams[None, :] * t_alpha[:, None]
-    distinct, inverse = np.unique(args.ravel(), return_inverse=True)
-    return mittag_leffler_array(alpha, beta, distinct)[inverse].reshape(args.shape)
+    return mittag_leffler_array(alpha, beta, -lams[None, :] * t_alpha[:, None])
 
 
 def decay_factors(model: SpectralModel, alpha: float, t: float) -> np.ndarray:

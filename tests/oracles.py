@@ -289,11 +289,10 @@ def product_quadrature_direct(weights, correction, table, values):
 def tail_expansion_reference(alpha: float, beta: float, z):
     """The tail expansion of the Mittag-Leffler function, by a per-row scan.
 
-    ``specfun._tail_expansion`` as it was before each row's stop came from
-    the live-coefficient columns: every row finds the last nonzero term
-    before each column with its own running maximum over column indices.
-    Returns the same (values, relative error estimates), which the package
-    must match bit for bit.  It shares the package's 1/Gamma, term count,
+    Every row finds the last nonzero term before each column with its own
+    running maximum over column indices.  Returns the same (values,
+    relative error estimates) as ``specfun._tail_expansion``, which must
+    match them bit for bit.  It shares the package's 1/Gamma, term count,
     epsilon and row blocks; a row's bits do not depend on the blocks.
     """
     import numpy as np

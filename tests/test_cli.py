@@ -91,6 +91,18 @@ def test_ml_negative_z_in_exponent_form(z):
     assert float(out.stdout) == pytest.approx(mittag_leffler(0.5, 1.0, float(z)), rel=1e-12)
 
 
+def test_ml_past_the_digit_cap_exits_5():
+    # X = |z|**(1/alpha) = 1.06e37: the rule split at the wall misses its
+    # gate, and the series in extended precision would need 4.8e36 digits
+    out = run_cli("ml", "0.02462363315091384", "0.021970127638782862", "-8.160303105378954")
+    assert out.returncode == 5
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("unsupported regime: ")
+    for part in ("alpha=0.02462363315091384", "beta=0.021970127638782862",
+                 "z=-8.160303105378954", "4.77e+36 digits"):
+        assert part in line
+
+
 def test_cli_leaves_scipy_integrate_unimported():
     # no Mittag-Leffler route needs scipy: with every scipy import made to
     # fail, points that reach the rule split at the wall still evaluate

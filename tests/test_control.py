@@ -657,23 +657,24 @@ def test_regularized_map_converges_to_plain_map():
 # sha256 of the states' bytes, then iterations, final_residual,
 # nonlocal_residual, contraction_estimate and control_sup, taken with the
 # product quadrature's FFT at length _fast_len(2 n), the sine source's
-# decay factor applied after its projection and the Mittag-Leffler branch
-# cut serving the points past the series band, each step-2h row summed
-# over its leading nodes, and the inverse factors 1 / (1 - q) in closed
-# form (they are float64 bits, so another BLAS or FFT build may move them)
+# rows in one product each way and its decay factor applied after its
+# projection, the Mittag-Leffler branch cut serving the points past the
+# series band, each step-2h row summed over its leading nodes, and the
+# inverse factors 1 / (1 - q) in closed form (they are float64 bits, so
+# another BLAS or FFT build may move them)
 GOLDEN_SOLVES = {
     3: (
-        "ac700608c731a6b5ce7f01b0328c7253a8040d6c7ef593c31d4cf64e0acd4c64",
+        "2b859d6b08532e6b9d701c40ccd0f123e0cafe049184f0b7188ecbd33f6db5c7",
         35, 8.419428931816242e-09, 0.016201436774399957, 0.6008961096936658,
         0.8660254037844386,
     ),
     10 ** 6: (
-        "4888bf98f8342e3dd5b495b773976bd2d6210a01e645a7fdac6d5ef0bf21e297",
+        "8b63d90acf33893942c95f08f74a7f15dac474d56996c8743d064ef37db3a3f6",
         17, 4.8513703609920356e-09, 9.739894742135735e-05, 0.3163678185517206,
         0.8660254037844386,
     ),
     None: (
-        "8ba17cd60382dfc83ff1cb0f4579e834af68e1cc700d7c63a4ac32e3b095d71b",
+        "60af9f879d8adc4e682f6822bcec542c346053cf6e0af6070894c01bdff21210",
         17, 4.85116496973248e-09, 1.4304896245381992e-17, 0.31636693180928366,
         0.8660254037844386,
     ),

@@ -152,6 +152,15 @@ def test_ml_alpha_above_one_adds_the_pole_pair(alpha, beta, z):
     assert mittag_leffler(alpha, beta, z) == pytest.approx(ref, rel=constants.ML_REL_TOL, abs=0.0)
 
 
+def test_ml_pole_pair_estimate_counts_the_rounding_of_its_phase(monkeypatch):
+    # the pair's phase X sin(pi/alpha) carries the rounding of log X as well:
+    # counted, (1.99, 1.3, -3000) gets an estimate of 1.5e-13 for an error
+    # of 5.4e-14, misses the gate and takes extended precision
+    mp = _counting(monkeypatch, "_extended_precision_series")
+    assert mittag_leffler(1.99, 1.3, -3000.0) == oracles.ml_oracle(1.99, 1.3, -3000.0)
+    assert len(mp) == 1
+
+
 @pytest.mark.parametrize("alpha,beta,z", [(1.0, 0.5, -200.0), (0.99995, 1.0, -300.0),
                                           (1.2, 1.0, -1000.0)])
 def test_tail_expansion_terms_past_underflow_are_zero(monkeypatch, alpha, beta, z):
@@ -628,7 +637,7 @@ def _demo_heat_verify_tables(monkeypatch):
     evaluate = spectral.mittag_leffler_array
 
     def recorded(alpha, beta, z):
-        tables.append((alpha, beta, np.array(z, dtype=float)))
+        tables.append((alpha, beta, np.ravel(z)))
         return evaluate(alpha, beta, z)
 
     with monkeypatch.context() as patch:
@@ -691,6 +700,25 @@ def test_steer_assembly_tables_never_reach_the_last_resort(monkeypatch):
     ResponseAssembly(build_problem(cfg), build_grid(cfg)).endpoint_rows()
     assert _points(tables) > 10_000
     assert not wall
+
+
+def test_demo_commands_take_no_last_resort(monkeypatch, tmp_path):
+    # fracevol verify on demo_heat.ini and fracevol steer on demo_steer.ini
+    # call neither the tail expansion, nor the rule split at the wall, nor
+    # extended precision
+    from pathlib import Path
+
+    from fracevol import cli
+
+    configs = Path(__file__).resolve().parent.parent / "demos/configs"
+    heat, steer = str(configs / "demo_heat.ini"), str(configs / "demo_steer.ini")
+    out = str(tmp_path / "heat")
+    assert cli.main(["simulate", "--config", heat, "--out", out]) == 0
+    routes = ("_tail_expansion", "_branch_cut_wall", "_extended_precision_series")
+    calls = [_counting(monkeypatch, name) for name in routes]
+    assert cli.main(["verify", "--config", heat, out + ".trajectory.txt"]) == 0
+    assert cli.main(["steer", "--config", steer, "--out", str(tmp_path / "steer")]) == 0
+    assert calls == [[], [], []]
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.75, 0.95, 0.99989])

@@ -120,9 +120,10 @@ def test_assembly_flow_table_splits_bit_for_bit(ml_calls, case):
 def test_steer_on_demo_steer_builds_each_table_once(ml_calls, tmp_path):
     # one flow table at the nodes and the pinning times (which also gives
     # the inverse factors), the lag table and two pinning rows; the
-    # endpoint rows read the lag table
+    # endpoint rows read the lag table; every table entry is one point,
+    # repeated arguments included
     assert cli.main(["steer", "--config", str(DEMO_STEER), "--out", str(tmp_path / "s")]) == 0
-    assert (len(ml_calls), sum(ml_calls)) == (4, 11904)
+    assert (len(ml_calls), sum(ml_calls)) == (4, 11952)
 
 
 # --------------------------------------------------------- Green's function

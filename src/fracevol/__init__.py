@@ -19,8 +19,27 @@ A small numerical library built in layers:
 ``config`` / ``cli`` / ``serialize``
     Run configuration, command line front end, and deterministic text
     formats.
+
+Importing the package before numpy starts numpy's OpenBLAS with one
+thread, unless ``OPENBLAS_NUM_THREADS`` is set.
 """
 from __future__ import annotations
+
+import importlib
+import os
+import sys
+
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it. Every
+# product here is small enough that OpenBLAS runs it on one thread, so
+# a worker pool only costs start-up CPU. A count the user set, or a numpy
+# that is already loaded, is left alone; the variable is removed again,
+# so child processes inherit the user's environment.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        importlib.import_module("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .constants import SOLVE_TOL_DEFAULT, STEER_TOL_DEFAULT
 from .control import (

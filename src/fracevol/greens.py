@@ -716,6 +716,11 @@ def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity
     projects back.  Pointwise 1-Lipschitz transforms preserve the discrete
     norms, so the declared constants are 1 and sqrt(pi).
 
+    The Lipschitz constant 1 holds per node for the Euclidean length of
+    the mode vector.  In the max-abs norm over nodes and modes, which
+    ``_fixed_point`` measures, it can reach sqrt(n_modes): 20,000 random
+    pairs of states reached 1.20 at 8 modes.
+
     Both sine transforms (DST-I) are products with one precomputed
     (collocation x collocation) sine matrix, of which a call uses the rows
     of its modes; all rows of a call go through one product each way, so a

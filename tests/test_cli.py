@@ -6,6 +6,7 @@ them.
 """
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -58,14 +59,23 @@ rho = 0.1 0.001
 """
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "fracevol.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
         timeout=120,
     )
+
+
+def _env_with_blas_threads(threads):
+    # this process's environment with OPENBLAS_NUM_THREADS removed, or set
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
 
 
 def test_ml_known_values():
@@ -183,6 +193,81 @@ def test_verify_peak_memory_stays_near_the_import(tmp_path):
         f"assert fracevol.cli.main(['verify', '--config', {heat!r}, {traj!r}]) == 0"
     )
     assert verify - base < 6 * 1024, (verify, base)
+
+
+def _tasks_after(code, threads):
+    # thread count of a fresh interpreter that runs code, and the
+    # OPENBLAS_NUM_THREADS it ends with
+    probe = (
+        code + "\nimport os\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_env_with_blas_threads(threads),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    tasks, value = out.stdout.split()
+    return int(tasks), None if value == "None" else value
+
+
+def _numpy_uses_openblas():
+    # numpy >= 1.26 names its BLAS here; older builds skip the test
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
+    return "openblas" in blas.lower()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="needs Linux /proc")
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="numpy is not built on OpenBLAS")
+def test_import_starts_openblas_with_one_thread_unless_told_otherwise():
+    # importing fracevol before numpy starts OpenBLAS with no worker pool,
+    # and leaves no OPENBLAS_NUM_THREADS behind for child processes
+    assert _tasks_after("import fracevol.cli", None) == (1, None)
+    # a count the user set wins, and stays set
+    user = _tasks_after("import fracevol.cli", "2")
+    assert user == (_tasks_after("import numpy", "2")[0], "2")
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert user[0] == 2
+    # a numpy loaded first keeps the pool it started with
+    assert _tasks_after("import numpy\nimport fracevol.cli", None) == (
+        _tasks_after("import numpy", None)[0], None,
+    )
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each command writes the same bytes with one OpenBLAS thread and two;
+    # the 64-mode source's (513 x 64)(64 x 64) product is the one a
+    # 2-thread pool splits
+    configs = REPO / "demos" / "configs"
+    heat = (configs / "demo_heat.ini").read_text()
+    forcing = next(ln for ln in heat.splitlines() if ln.startswith("forcing ="))
+    wide = tmp_path / "wide.ini"
+    wide.write_text(
+        heat.replace("n_modes = 8", "n_modes = 64").replace(
+            forcing, forcing + " 0.001" * 56
+        )
+    )
+    runs = {
+        "heat": ("simulate", configs / "demo_heat.ini"),
+        "wide": ("simulate", wide),
+        "steer": ("steer", configs / "demo_steer.ini"),
+    }
+    for name, (command, cfg) in runs.items():
+        written = {}
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"{name}-{threads}"
+            out_dir.mkdir()
+            out = run_cli(
+                command, "--config", str(cfg), "--out", str(out_dir / name),
+                env=_env_with_blas_threads(threads),
+            )
+            assert out.returncode == 0, out.stderr
+            written[threads] = (
+                out.stdout, {f.name: f.read_bytes() for f in out_dir.iterdir()},
+            )
+        assert written["1"][1], name
+        assert written["1"] == written["2"], name
 
 
 def test_ml_bad_arguments():

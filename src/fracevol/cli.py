@@ -7,7 +7,7 @@ Commands:
     steer    --config C --out P  rho sweep; writes P.table.txt
     verify   --config C TRAJ     residual check of a trajectory file
 
-Exit codes: 0 success, 2 usage or config error, 3 inadmissible coupling,
+Exit codes: 0 success, 2 usage, config or file error, 3 inadmissible coupling,
 4 non-convergence, 5 unsupported regime, 6 verification failure, 7 bad
 source term, also a finite one whose response overflows (the source, not
 the iteration, is at fault there).  All output is deterministic.
@@ -59,6 +59,7 @@ _FAILURES = (
     (ConvergenceError, "no convergence", EXIT_NO_CONVERGENCE),
     (SourceError, "source error", EXIT_BAD_SOURCE),
     (DomainError, "domain error", EXIT_USAGE),
+    (OSError, "file error", EXIT_USAGE),
 )
 
 

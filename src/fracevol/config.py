@@ -268,7 +268,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="ascii") as fh:
             return parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 

@@ -5,13 +5,14 @@ derivative (L1 scheme), and a product quadrature for convolutions with
 weakly singular kernels of the form (t - s)**(alpha - 1) * h(t - s).  The
 quadrature integrates the singular power factor exactly on every
 subinterval against the piecewise linear interpolant of the sampled data,
-so no kernel value is ever requested at the singularity itself.  It has
-two forms: ProductQuadrature, the sums at every node for one kernel
-table (the solver's convolution, rl_integral, the operator-identity
-check), and singular_kernel_weights, the weight vector at one time t on
-or between nodes (the pin and endpoint rows, dotted with data later).
-These weights, the L1 weights and verify_mild's all read the power's
-panel moments from _panel_moments, free of cancellation.
+so no kernel value is ever requested at the singularity itself.
+Every lag-weight sum at all nodes (this quadrature's, the L1 Caputo
+derivative's, verify_mild's midpoint rule) goes through one operator,
+LagConvolution, one FFT pair per call; ProductQuadrature is it with the
+product-trapezoid weights of one kernel table.  singular_kernel_weights
+gives the quadrature's weight vector at one time t on or between nodes
+(the pin and endpoint rows, dotted with data later).  All these weights
+read the power's panel moments from _panel_moments, free of cancellation.
 """
 
 from __future__ import annotations
@@ -86,10 +87,8 @@ class SampledFn:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape[0] != self.grid.n_steps + 1:
-            raise DomainError(
-                f"expected {self.grid.n_steps + 1} samples, got {vals.shape[0]}"
-            )
+        if vals.shape[:1] != (self.grid.n_steps + 1,):
+            raise DomainError(f"expected {self.grid.n_steps + 1} samples, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise DomainError("sampled values must all be finite")
         object.__setattr__(self, "values", vals)
@@ -180,13 +179,12 @@ def caputo_derivative(alpha: float, f: SampledFn) -> SampledFn:
     # b[d - 1] = d**(1 - alpha) - (d - 1)**(1 - alpha), free of cancellation
     b = (1.0 - alpha) * _panel_moments(1.0 - alpha, np.arange(n))[0]
     coef = f.grid.delta ** (-alpha) / gamma(2.0 - alpha)
-    vals = np.asarray(f.values, dtype=float)
-    cols = vals.reshape(n + 1, -1)
-    out = np.zeros_like(cols)
-    for m in range(cols.shape[1]):
-        out[1:, m] = coef * np.convolve(b, np.diff(cols[:, m]))[:n]
-    out = _extrapolate_node0(out).reshape(vals.shape)
-    return SampledFn(f.grid, out, node0_extrapolated=True)
+    # node i sums the increments j = 0..i-1 at lags i - j = 1..i, the
+    # weight at lag d being coef * b[d - 1]
+    steps = np.zeros_like(f.values)
+    steps[:-1] = np.diff(f.values, axis=0)
+    out = LagConvolution(np.concatenate([[0.0], coef * b]))(steps)
+    return SampledFn(f.grid, _extrapolate_node0(out), node0_extrapolated=True)
 
 
 def singular_kernel_weights(
@@ -236,23 +234,53 @@ def singular_kernel_weights(
     return w.reshape((grid.n_steps + 1,) + h.shape[1:])
 
 
-class ProductQuadrature:
+class LagConvolution:
+    """A lag-weight (lower triangular Toeplitz) sum at every node, by FFT.
+
+    out[i] = sum_{d <= i} weights[d] x[i - d] - correction[i] x[0], and
+    out[0] = 0.  weights is (n + 1,), one column for every data column, or
+    (n + 1, cols), column m for data column m; correction, if given, has
+    its shape.  The real FFT (numpy.fft) of the weights is taken once, at
+    the smallest 5-smooth length L of at least 2 n, and a call is one
+    forward and one inverse real FFT over all data columns.  The linear
+    convolution of two length-(n + 1) sequences has 2 n + 1 terms; the
+    circular one of length L >= 2 n folds at most its last term, weights[n]
+    x[n] at index 2 n, back onto index 0, so nodes 1..n are the linear sums
+    and node 0, set to exactly 0, discards the folded term.  Every column's
+    value is the same bits as when that column is transformed alone.
+    """
+
+    def __init__(self, weights: np.ndarray, correction: np.ndarray | None = None):
+        weights = np.asarray(weights, dtype=float)
+        n = weights.shape[0] - 1
+        self._shape = weights.shape
+        self._size = _fast_len(2 * n)
+        self._spectrum = np.fft.rfft(weights.reshape(n + 1, -1), self._size, axis=0)
+        self._correction = None if correction is None else correction.reshape(n + 1, -1)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """The sums at every node; values has one row per node."""
+        vals = np.asarray(values, dtype=float)
+        n = self._shape[0] - 1
+        if vals.shape[:1] != (n + 1,) or self._spectrum.shape[1] not in (1, vals[0].size):
+            raise DomainError(f"lag weights {self._shape} do not fit data {vals.shape}")
+        cols = vals.reshape(n + 1, -1)
+        spectrum = np.fft.rfft(cols, self._size, axis=0) * self._spectrum
+        out = np.fft.irfft(spectrum, self._size, axis=0)[: n + 1]
+        if self._correction is not None:
+            out -= self._correction * cols[0]
+        out[0] = 0.0
+        return out.reshape(vals.shape)
+
+
+class ProductQuadrature(LagConvolution):
     """The product quadrature at every node for one kernel table, precomputed.
 
     smooth_at_lags[d] must hold h(d * delta).  A 1-D table is one kernel for
     every data column; an (n_nodes, n_cols) table gives data column m its
-    own kernel, column m.  Building it forms the weighted table k * h and
-    the t = 0 correction mu1 * h once, and the real FFT (numpy.fft) of the
-    weighted table at the smallest 5-smooth length L of at least 2 n.  Each
-    call is then one forward and one inverse real FFT over all data
-    columns: at each node the sum of singular_kernel_weights there against
-    the data, up to the FFT's rounding.  The linear convolution of two length-(n + 1) sequences has
-    2 n + 1 terms; the circular one of length L >= 2 n folds at most its
-    last term, k[n] x[n] at index 2 n, back onto index 0, so nodes 1..n
-    are the linear sums.  Node 0, the integral over an empty interval, is
-    set to exactly 0, which discards the folded term.  Every column's
-    value is the same bits as when that column is transformed alone.
-    The product-trapezoid weights k and mu1 come from _panel_moments.
+    own kernel, column m.  The lag weights are delta**alpha k h and the
+    node-0 correction delta**alpha mu1 h (_uniform_kernel), so a call gives
+    at each node the sum of singular_kernel_weights there against the data.
     """
 
     def __init__(self, alpha: float, grid: TimeGrid, smooth_at_lags: np.ndarray):
@@ -264,26 +292,7 @@ class ProductQuadrature:
         k, mu1 = _uniform_kernel(alpha, n)
         cols = table.reshape(n + 1, -1)
         scale = grid.delta ** alpha
-        self.grid = grid
-        self._table_shape = table.shape
-        self._size = _fast_len(2 * n)
-        self._spectrum = np.fft.rfft(scale * k[:, None] * cols, self._size, axis=0)
-        self._correction = scale * mu1[:, None] * cols
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        """The quadrature at every node; values has one row per node."""
-        vals = np.asarray(values, dtype=float)
-        n = self.grid.n_steps
-        if vals.shape[:1] != (n + 1,) or self._correction.shape[1] not in (1, vals[0].size):
-            raise DomainError(
-                f"kernel table {self._table_shape} does not fit data {vals.shape}"
-            )
-        cols = vals.reshape(n + 1, -1)
-        spectrum = np.fft.rfft(cols, self._size, axis=0) * self._spectrum
-        out = np.fft.irfft(spectrum, self._size, axis=0)[: n + 1]
-        out -= self._correction * cols[0]
-        out[0] = 0.0
-        return out.reshape(vals.shape)
+        super().__init__(scale * k[:, None] * cols, scale * mu1[:, None] * cols)
 
 
 def singular_convolution_all(
@@ -291,8 +300,8 @@ def singular_convolution_all(
 ) -> np.ndarray:
     """The product quadrature of f at every node and column at once.
 
-    A ProductQuadrature used once; see there for the table's shape.  To
-    convolve many data sets with one table, build the ProductQuadrature
-    once and call it.  perfbench/layers.py times the quadrature by this name.
+    A ProductQuadrature used once; to convolve many data sets with one
+    table, build it once and call it.  perfbench/layers.py times the
+    quadrature by this name.
     """
     return ProductQuadrature(alpha, f.grid, smooth_at_lags)(f.values)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .constants import SOLVE_MAX_ITER_DEFAULT, SOLVE_TOL_DEFAULT
 from .errors import AdmissibilityError, ConvergenceError, DomainError, SourceError
-from .fraccalc import ProductQuadrature, SampledFn, TimeGrid, _check_order, _panel_moments
-from .fraccalc import singular_kernel_weights
+from .fraccalc import LagConvolution, ProductQuadrature, SampledFn, TimeGrid, _check_order
+from .fraccalc import _panel_moments, singular_kernel_weights
 from .spectral import SpectralModel, ml_table
 
 __all__ = [
@@ -611,6 +611,8 @@ def verify_mild(
     rather than the solver's piecewise linear rule, and the pinning
     identity is re-checked by linear interpolation of the trajectory, so
     agreement is evidence about the trajectory, not about shared code.
+    The rule's weights and kernel samples are its own; only the summation
+    over lags, fraccalc.LagConvolution, is shared with the solver.
     """
     grid = traj.grid
     n = grid.n_steps
@@ -624,16 +626,14 @@ def verify_mild(
     mid_table = ml_table(lams, alpha, alpha, (np.arange(n) + 0.5) * delta)
     kern = mid_table * (_panel_moments(alpha, np.arange(n))[0] * delta ** alpha)[:, None]
 
-    avg = 0.5 * (forcing[:-1] + forcing[1:])  # panel-average forcing
-    # node i sums panels j = 0..i-1 at lag distance i-j-1/2: entry i-1 of
-    # the full convolution of panel averages and kernel
-    conv = np.empty((n, problem.n_modes))
-    for m in range(problem.n_modes):
-        conv[:, m] = np.convolve(avg[:, m], kern[:, m])[:n]
-    predicted = ml_table(lams, alpha, 1.0, grid.nodes[1:]) * traj.initial + conv
-    gap = traj.states[1:] - predicted
-    node_residuals = np.zeros(n + 1)
-    node_residuals[1:] = np.sqrt(np.sum(gap * gap, axis=1))
+    # node i sums panels j = 0..i-1 at lag distance i-j-1/2: the panel
+    # averages at nodes 0..n-1 against the kernel at lags 1..n
+    avg = np.zeros_like(forcing)
+    avg[:-1] = 0.5 * (forcing[:-1] + forcing[1:])
+    conv = LagConvolution(np.concatenate([np.zeros((1, problem.n_modes)), kern]))(avg)
+    # at node 0 the flow is 1 and the sum 0, so the gap is exactly 0
+    gap = traj.states - (ml_table(lams, alpha, 1.0, grid.nodes) * traj.initial + conv)
+    node_residuals = np.sqrt(np.sum(gap * gap, axis=1))
 
     return VerificationReport(
         equation_residual=float(np.max(node_residuals)),

@@ -58,11 +58,14 @@ def _header_value(line: str, key: str) -> str:
 def read_trajectory(path: str) -> Trajectory:
     """Parse a trajectory file back into a Trajectory.
 
-    Raises ConfigError on an empty file, a malformed header, or data
-    that contradicts the declared grid.
+    Raises ConfigError on a file that is not ASCII, an empty file, a
+    malformed header, or data that contradicts the declared grid.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"trajectory file {path}: {exc}") from exc
     if not lines:
         raise ConfigError(f"trajectory file {path} is empty")
     if lines[0] != _TRAJECTORY_MAGIC:
@@ -75,6 +78,8 @@ def read_trajectory(path: str) -> Trajectory:
         n_modes = int(_header_value(lines[3], "n_modes"))
     except ValueError as exc:
         raise ConfigError(f"trajectory header: {exc}") from exc
+    if min(n_steps, n_modes) < 1:
+        raise ConfigError(f"trajectory header: n_steps {n_steps}, n_modes {n_modes} must be >= 1")
     _header_value(lines[4], "columns")
     rows = lines[5:]
     if len(rows) != n_steps + 1:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .fraccalc import SampledFn, TimeGrid, _check_order, singular_convolution_all
+from .fraccalc import SampledFn, TimeGrid, _check_order, rl_integral
 from .specfun import gamma, mittag_leffler_array
 
 
@@ -181,17 +181,15 @@ def check_solution_operator_identity(
 ) -> OperatorIdentityReport:
     """Residual of u(t) = x + I^alpha (A u)(t) along u(t) = flow(t) x.
 
-    Per mode the identity reads u_n(t) - x_n + lambda_n/Gamma(alpha) times
-    the power-kernel convolution of u_n; the convolution uses the same
-    product quadrature as the solver, so this doubles as a scheme check.
+    Per mode the identity reads u_n(t) - x_n + lambda_n times the
+    fractional integral of u_n; rl_integral takes it with the same product
+    quadrature as the solver, so this doubles as a scheme check.
     """
     alpha = _check_order(alpha, allow_one=True)
     vec = _as_modes(model, x)
     states = ml_table(model.lambdas, alpha, 1.0, grid.nodes) * vec[None, :]
-    conv = singular_convolution_all(
-        alpha, np.ones(grid.n_steps + 1), SampledFn(grid, states)
-    )
-    defect = states - vec[None, :] + conv * model.lambdas[None, :] / gamma(alpha)
+    integral = rl_integral(alpha, SampledFn(grid, states)).values
+    defect = states - vec[None, :] + integral * model.lambdas[None, :]
     node_residuals = np.max(np.abs(defect), axis=1)
     return OperatorIdentityReport(
         sup_residual=float(np.max(node_residuals)), node_residuals=node_residuals

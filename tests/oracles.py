@@ -4,10 +4,13 @@ Everything here is computed with mpmath at adaptive precision, through
 routes that do not share code with the package: the defining power
 series, high-precision quadrature of defining integrals, and term-wise
 integrated series.  Floats are promoted to mpf before any arithmetic so
-the oracle evaluates the same binary inputs the implementation sees.  Two
+the oracle evaluates the same binary inputs the implementation sees.  Some
 references are float64: product_quadrature_direct, the product
 quadrature's direct O(n**2) sum, which the package's FFT evaluation is
-checked against, and tail_expansion_reference, the Mittag-Leffler tail
+checked against; midpoint_convolution_direct and l1_convolution_direct,
+the per-column np.convolve sums of verify_mild and the L1 Caputo
+derivative; manufactured_solution, a closed-form mild solution with its
+forcing; and tail_expansion_reference, the Mittag-Leffler tail
 expansion with a per-row stop scan, which the package's must match bit
 for bit.  branch_cut_reference, the Mittag-Leffler branch-cut rule summed
 at step h on every row, is float64 too.  The product-trapezoid weights and sums
@@ -284,6 +287,73 @@ def product_quadrature_direct(weights, correction, table, values):
             terms = kap[i::-1, m] * vals[: i + 1, m]
             out[i, m] = math.fsum(list(terms) + [-corr[i, m] * vals[0, m]])
     return out
+
+
+def midpoint_convolution_direct(averages, kernel):
+    """verify_mild's midpoint sums at nodes 1..n, one np.convolve per mode.
+
+    Row i - 1 of the result is sum_{j < i} averages[j] kernel[i - 1 - j]:
+    averages (n, m) are the panel averages of the forcing, kernel (n, m)
+    the midpoint weights by lag distance.  The direct evaluation that
+    verify_mild's FFT sums (fraccalc.LagConvolution) are checked against.
+    """
+    import numpy as np
+
+    n = averages.shape[0]
+    out = np.empty(averages.shape)
+    for m in range(averages.shape[1]):
+        out[:, m] = np.convolve(averages[:, m], kernel[:, m])[:n]
+    return out
+
+
+def l1_convolution_direct(b, coef, values):
+    """The L1 sums of caputo_derivative at nodes 1..n, one np.convolve per column.
+
+    Row i - 1 is coef * sum_{j < i} b[i - 1 - j] (values[j + 1] - values[j])
+    for the (n + 1, m) values: the direct evaluation that caputo_derivative's
+    FFT sums (fraccalc.LagConvolution) are checked against.
+    """
+    import numpy as np
+
+    n = values.shape[0] - 1
+    out = np.empty((n, values.shape[1]))
+    for m in range(values.shape[1]):
+        out[:, m] = coef * np.convolve(b, np.diff(values[:, m]))[:n]
+    return out
+
+
+def manufactured_solution(problem, nodes, b, c, d):
+    """(raw forcing, exact states) at nodes of a known mild solution.
+
+    u*_m(t) = a_m + b_m t**alpha + c_m t**(2 alpha) + d_m t**2, with a_m
+    chosen so that u* meets the pinning condition u(0) = sum_k c_k u(t_k):
+    a (1 - sum_k c_k) = sum_k c_k (u*(t_k) - a).  The Caputo derivatives
+    of the powers are closed forms, D^alpha t**p = Gamma(p + 1) / Gamma(p +
+    1 - alpha) t**(p - alpha) and 0 for a constant, so the raw forcing F =
+    D^alpha u* + lambda u* - f(t, u*) makes u* the exact mild solution of
+    problem (without control).  f is the problem's own source evaluated at
+    u*, so it needs no closed form; the t**alpha terms give u* the
+    singularity at t = 0 that real solutions have.  Float64 throughout.
+    """
+    import numpy as np
+
+    alpha, lams = problem.alpha, problem.model.lambdas
+
+    def rise(t):  # u* - a
+        t = np.asarray(t, dtype=float)[:, None]
+        return b * t ** alpha + c * t ** (2.0 * alpha) + d * t ** 2
+
+    weights = problem.coupling.weights
+    a = weights @ rise(problem.coupling.times) / (1.0 - weights.sum())
+    states = a + rise(nodes)
+    t = np.asarray(nodes, dtype=float)[:, None]
+    caputo = (
+        b * math.gamma(alpha + 1.0)
+        + c * math.gamma(2.0 * alpha + 1.0) / math.gamma(alpha + 1.0) * t ** alpha
+        + d * 2.0 / math.gamma(3.0 - alpha) * t ** (2.0 - alpha)
+    )
+    source = 0.0 if problem.nonlinearity is None else problem.nonlinearity.fn(nodes, states)
+    return caputo + lams * states - source, states
 
 
 def tail_expansion_reference(alpha: float, beta: float, z):

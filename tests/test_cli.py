@@ -166,6 +166,18 @@ def test_cli_leaves_scipy_unimported(tmp_path):
     assert "result pass" in out.stdout
 
 
+def test_src_has_no_np_convolve():
+    # every lag convolution in the package goes through one FFT operator,
+    # fraccalc.LagConvolution; a direct per-column convolution is a second path
+    hits = [
+        f"{path.relative_to(REPO)}:{i}"
+        for path in sorted((REPO / "src" / "fracevol").rglob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), start=1)
+        if "convolve(" in line
+    ]
+    assert not hits, hits
+
+
 def _peak_rss_kib(code):
     # peak resident set of a fresh interpreter that runs code, as VmHWM:
     # its ru_maxrss would also carry the peak of this (forking) process
@@ -519,6 +531,49 @@ def test_verify_config_mismatch_exits_2(tmp_path):
     out = run_cli("verify", "--config", str(other), str(tmp_path / "a.trajectory.txt"))
     assert out.returncode == 2
     assert "mode count" in out.stderr
+
+
+TRAJ_HEADER = "# fracevol trajectory\n# horizon 1\n# n_steps 48\n# n_modes {}\n# columns t\n"
+
+
+@pytest.mark.parametrize(
+    "case, names",
+    [
+        ("missing trajectory", "none.txt"),
+        ("non-ASCII trajectory", "accent.txt"),
+        ("negative n_modes", "n_modes -1"),
+        ("non-ASCII config", "accent.ini"),
+        ("simulate into a missing directory", "nodir"),
+        ("steer into a missing directory", "nodir"),
+    ],
+)
+def test_unreadable_or_unwritable_file_exits_2_with_one_line(tmp_path, case, names):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL)
+    steer_cfg = tmp_path / "steer.ini"
+    steer_cfg.write_text(SMALL_STEER)
+    accent = tmp_path / "accent.txt"
+    accent.write_text(TRAJ_HEADER.replace("fracevol", "fr\u00e9cevol").format(2), encoding="utf-8")
+    negative = tmp_path / "negative.txt"
+    negative.write_text(TRAJ_HEADER.format(-1) + "0\n" * 49)
+    bad_cfg = tmp_path / "accent.ini"
+    bad_cfg.write_text("# r\u00e9gime\n" + SMALL, encoding="utf-8")
+    argv = {
+        "missing trajectory": ("verify", "--config", str(cfg), str(tmp_path / "none.txt")),
+        "non-ASCII trajectory": ("verify", "--config", str(cfg), str(accent)),
+        "negative n_modes": ("verify", "--config", str(cfg), str(negative)),
+        "non-ASCII config": ("simulate", "--config", str(bad_cfg), "--out", str(tmp_path / "a")),
+        "simulate into a missing directory": (
+            "simulate", "--config", str(cfg), "--out", str(tmp_path / "nodir" / "a")
+        ),
+        "steer into a missing directory": (
+            "steer", "--config", str(steer_cfg), "--out", str(tmp_path / "nodir" / "a")
+        ),
+    }[case]
+    out = run_cli(*argv)
+    assert out.returncode == 2, out.stderr
+    assert len(out.stderr.splitlines()) == 1, out.stderr
+    assert names in out.stderr
 
 
 def test_every_trace_probe_resolves(monkeypatch):

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 import oracles
 from fracevol.errors import DomainError
 from fracevol.fraccalc import (
+    LagConvolution,
     ProductQuadrature,
     SampledFn,
     TimeGrid,
     _fast_len,
+    _panel_moments,
     _uniform_kernel,
     caputo_derivative,
     rl_integral,
@@ -48,6 +50,13 @@ def test_grid_validation():
     assert g.nodes[0] == 0.0
     assert g.nodes[-1] == 2.0
     assert g.delta == 0.5
+
+
+def test_sampled_fn_rejects_a_scalar_or_a_misfit_length():
+    with pytest.raises(DomainError, match=r"expected 5 samples, got shape \(\)"):
+        SampledFn(TimeGrid(1.0, 4), 3.0)
+    with pytest.raises(DomainError, match=r"expected 5 samples, got shape \(4, 2\)"):
+        SampledFn(TimeGrid(1.0, 4), np.ones((4, 2)))
 
 
 def test_grid_locate_snaps_to_nodes():
@@ -443,11 +452,48 @@ def test_kernel_weights_at_horizon_read_the_lags_k_delta(horizon, n):
 
 @pytest.mark.parametrize("op", [caputo_derivative])
 def test_derivatives_of_columns_match_column_calls(op):
-    g = TimeGrid(1.0, 30)
-    data = np.column_stack([1.0 + g.nodes ** 2, np.sin(3.0 * g.nodes) + 0.5])
-    out = op(0.4, SampledFn(g, data)).values
-    for m in range(2):
-        assert np.array_equal(out[:, m], op(0.4, SampledFn(g, data[:, m])).values)
+    # one FFT over all columns gives each column its own bits, also at
+    # n = 7, whose FFT length is 15, not 2 n
+    for n in (7, 30, 512):
+        g = TimeGrid(1.0, n)
+        data = np.column_stack(
+            [1.0 + g.nodes ** 2, np.sin(3.0 * g.nodes) + 0.5, np.exp(-g.nodes) * g.nodes ** 0.3]
+        )
+        out = op(0.4, SampledFn(g, data)).values
+        for m in range(3):
+            assert np.array_equal(out[:, m], op(0.4, SampledFn(g, data[:, m])).values)
+
+
+# the FFT length _fast_len(2 n) is 2 n at n = 512 and 15 at n = 7
+@pytest.mark.parametrize("n", [7, 512])
+def test_caputo_derivative_matches_the_per_column_l1_sums(n):
+    g = TimeGrid(1.3, n)
+    data = np.column_stack([np.sin(2.0 * g.nodes), g.nodes ** 0.75, 1.0 + g.nodes ** 2])
+    for alpha in (0.2, 0.5, 0.9):
+        b = (1.0 - alpha) * _panel_moments(1.0 - alpha, np.arange(n))[0]
+        coef = g.delta ** (-alpha) / gamma(2.0 - alpha)
+        ref = oracles.l1_convolution_direct(b, coef, data)
+        out = caputo_derivative(alpha, SampledFn(g, data)).values[1:]
+        # rounding: up to 5.5e-16 of the largest sum seen
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [7, 512])
+def test_lag_convolution_matches_the_per_mode_midpoint_sums(n):
+    # verify_mild's layout: the midpoint weights at lags 1..n (lag 0 is
+    # zero), the panel averages at nodes 0..n - 1; node i is then entry
+    # i - 1 of each mode's full np.convolve
+    alpha, g = 0.75, TimeGrid(1.0, n)
+    lams = SpectralModel.dirichlet_laplacian(8).lambdas
+    mid = ml_table(lams, alpha, alpha, (np.arange(n) + 0.5) * g.delta)
+    kern = mid * (_panel_moments(alpha, np.arange(n))[0] * g.delta ** alpha)[:, None]
+    forcing = 0.3 + 0.2 * np.random.default_rng(7500 + n).standard_normal((n + 1, 8))
+    avg = np.zeros_like(forcing)
+    avg[:-1] = 0.5 * (forcing[:-1] + forcing[1:])
+    out = LagConvolution(np.concatenate([np.zeros((1, 8)), kern]))(avg)
+    ref = oracles.midpoint_convolution_direct(avg[:-1], kern)
+    assert np.all(out[0] == 0.0)
+    assert np.max(np.abs(out[1:] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------ FFT product quadrature

@@ -1,6 +1,7 @@
 """Tests for the nonlocally pinned mild solver."""
 
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fracevol.config import build_forcing, build_grid, build_problem, load_config
 from fracevol.constants import NEUMANN_CLOSED_FORM_TOL, SOLVE_MAX_ITER_DEFAULT
 from fracevol.errors import AdmissibilityError, ConvergenceError, DomainError, SourceError
 from fracevol.fraccalc import SampledFn, TimeGrid, singular_kernel_weights
@@ -359,6 +361,54 @@ def test_verify_flags_broken_pinning():
     states[0] += 5e-2
     rep = verify_mild(prob, Trajectory(grid, states), SampledFn(grid, 0.3 * np.ones((257, 8))))
     assert rep.nonlocal_residual >= 1e-2
+
+
+def test_verify_residual_on_demo_heat_is_pinned():
+    # the midpoint rule's residual, held to 1e-15 whatever evaluates its
+    # sums (the per-mode direct sums and the FFT differ by 1.9e-17 here)
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "demos/configs/demo_heat.ini"))
+    prob, grid = build_problem(cfg), build_grid(cfg)
+    forcing = build_forcing(cfg, grid)
+    traj, _ = solve_mild(prob, grid, raw_forcing=forcing, tol=cfg.tol, max_iter=cfg.max_iter)
+    rep = verify_mild(prob, traj, raw_forcing=forcing)
+    assert abs(rep.equation_residual - 5.6835954178332145e-05) <= 1e-15
+
+
+# ------------------------------------------------ manufactured exact solutions
+
+# error of solve_mild against oracles.manufactured_solution at n = 128 and
+# 512, the largest over nodes of the mode vector's length: demo_heat's 8
+# modes, pins and sine source, b = 0.3 / m, c = -0.2 / m**2, d = 0.1 / m,
+# tol 1e-13.  Measured on the product trapezoid these tests were written
+# against (observed orders 0.50 and 1.43); the stiff modes dominate.
+MANUFACTURED_ERRORS = {
+    0.4: (0.6427725958996839, 0.3200584239814766),
+    0.75: (0.03185175207857866, 0.004366935473989301),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(MANUFACTURED_ERRORS))
+def test_error_against_a_manufactured_solution(alpha):
+    prob, m = demo_problem(alpha=alpha), np.arange(1, 9)
+    errs = []
+    for n in (128, 512):
+        grid = TimeGrid(1.0, n)
+        forcing, exact = oracles.manufactured_solution(
+            prob, grid.nodes, 0.3 / m, -0.2 / m ** 2, 0.1 / m
+        )
+        traj, _ = solve_mild(prob, grid, raw_forcing=SampledFn(grid, forcing), tol=1e-13)
+        errs.append(np.max(np.sqrt(np.sum((traj.states - exact) ** 2, axis=1))))
+    today = MANUFACTURED_ERRORS[alpha]
+    assert errs[0] <= 1.5 * today[0] and errs[1] <= 1.5 * today[1], errs
+    order = math.log(errs[0] / errs[1], 4.0)
+    assert order >= math.log(today[0] / today[1], 4.0) - 0.1, order
+
+
+def test_manufactured_solution_meets_its_pinning_condition():
+    prob, m = demo_problem(alpha=0.6), np.arange(1, 9)
+    pins = np.concatenate([[0.0], prob.coupling.times])
+    _, exact = oracles.manufactured_solution(prob, pins, 0.3 / m, -0.2 / m ** 2, 0.1 / m)
+    assert np.allclose(exact[0], prob.coupling.weights @ exact[1:], rtol=1e-14, atol=0.0)
 
 
 # ----------------------------------------------------------- combined kernel

@@ -16,6 +16,8 @@ the iteration, is at fault there).  All output is deterministic.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -169,6 +171,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "ml":
             return _cmd_ml(args)
+        out_dir = os.path.dirname(getattr(args, "out", "")) or "."
+        if not os.path.isdir(out_dir):  # checked before any solve
+            raise FileNotFoundError(errno.ENOENT, "no such output directory", out_dir)
         cfg = load_config(args.config)
         if args.command == "simulate":
             return _cmd_simulate(cfg, args.out)

@@ -151,7 +151,7 @@ def _steering_setup(problem: ProblemSpec, grid: TimeGrid):
             "squared endpoint kernel non-integrable"
         )
     asm = ResponseAssembly(problem, grid)
-    rows = asm.endpoint_rows()
+    rows = asm.rows(grid.n_steps)
     scaled = problem.control_gains[:, None] * rows
     omega = trapezoid_weights(grid)
     return asm, rows, scaled, np.sum(scaled * scaled / omega[None, :], axis=1)
@@ -306,22 +306,19 @@ def reachability_experiment(
     return ReachabilityTable(rows=tuple(rows), targets=tuple(kept))
 
 
-def operator_norm_estimate(
-    problem: ProblemSpec,
-    grid: TimeGrid,
-    n_probes: int = 32,
-    seed: int = 20260822,
-) -> float:
-    """Lower estimate of sup ||K mu||_sup / ||mu||_L2 over random probes."""
-    rng = np.random.default_rng(seed)
+def operator_norm_estimate(problem: ProblemSpec, grid: TimeGrid) -> float:
+    """The exact norm sup ||K mu||_sup / ||mu||_L2 of apply_K on the grid.
+
+    Mode m of (K mu)(t_i) is row m of ResponseAssembly.rows(i), R, dotted
+    with mode m of mu.  Under the trapezoid norm (signal_l2_norm) that
+    functional has norm sqrt(sum_j R_j**2 / omega_j), reached by mu_j =
+    R_j / omega_j; the modes do not mix, so the norm is the largest of
+    these over nodes and modes: the Gramian's form at every node.
+    """
     asm = ResponseAssembly(problem, grid)
-    best = 0.0
-    for _ in range(n_probes):
-        vals = rng.standard_normal((grid.n_steps + 1, problem.n_modes))
-        denom = signal_l2_norm(grid, vals)
-        traj = Trajectory(grid, asm.response(vals))
-        best = max(best, trajectory_sup_norm(traj) / denom)
-    return best
+    omega = trapezoid_weights(grid)
+    sums = [np.sum(asm.rows(i) ** 2 / omega, axis=1) for i in range(grid.n_steps + 1)]
+    return math.sqrt(float(np.max(sums)))
 
 
 def w_growth_fit(

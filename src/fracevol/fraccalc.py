@@ -9,10 +9,11 @@ so no kernel value is ever requested at the singularity itself.
 Every lag-weight sum at all nodes (this quadrature's, the L1 Caputo
 derivative's, verify_mild's midpoint rule) goes through one operator,
 LagConvolution, one FFT pair per call; ProductQuadrature is it with the
-product-trapezoid weights of one kernel table.  singular_kernel_weights
-gives the quadrature's weight vector at one time t on or between nodes
-(the pin and endpoint rows, dotted with data later).  All these weights
-read the power's panel moments from _panel_moments, free of cancellation.
+product-trapezoid weights of one kernel table, and row(i) gives the
+weights of node i's sum.  singular_kernel_weights gives the quadrature's
+weight vector at one time t on or between nodes (the pin rows).  All
+these weights read the power's panel moments from _panel_moments, free
+of cancellation.
 """
 
 from __future__ import annotations
@@ -196,18 +197,17 @@ def singular_kernel_weights(
     """Weight vector representing the singular product quadrature at t.
 
     Dotted with the sample values it gives the quadrature up to t, at a
-    node the sum ProductQuadrature takes there; linear functionals of the
-    data (pin and endpoint response rows, Gramian assembly) reuse the
-    identical discretization through it.  Between nodes, the trailing
-    partial panel interpolates the product between the last node below t
-    and t itself, so kernel lags stay nonnegative.  kernel_smooth maps an
-    array of lags to an array whose leading axis runs over the lags:
-    (n_lags,) gives weights of shape (n_nodes,), (n_lags, n_cols) gives one
-    weight column per kernel column, each equal to the weights of that
-    column's kernel alone.  It is asked for the node lags (jp - j + theta)
-    * delta, at a node exactly the product quadrature's k * delta, then for
-    w0 = theta * delta and 0; the power weights are _panel_moments' in
-    units of delta.
+    node the sum ProductQuadrature takes there (whose own rows are
+    LagConvolution.row); it serves the pinning times, which may sit
+    between nodes.  There the trailing partial panel interpolates the
+    product between the last node below t and t itself, so kernel lags
+    stay nonnegative.  kernel_smooth maps an array of lags to an array
+    whose leading axis runs over the lags: (n_lags,) gives weights of
+    shape (n_nodes,), (n_lags, n_cols) one weight column per kernel
+    column, each equal to the weights of that column's kernel alone.  It
+    is asked for the node lags (jp - j + theta) * delta, then for w0 =
+    theta * delta and 0; the power weights are _panel_moments' in units
+    of delta.
     """
     alpha = _check_order(alpha, allow_one=True)
     jp, theta = grid.locate(t)
@@ -255,7 +255,8 @@ class LagConvolution:
         n = weights.shape[0] - 1
         self._shape = weights.shape
         self._size = _fast_len(2 * n)
-        self._spectrum = np.fft.rfft(weights.reshape(n + 1, -1), self._size, axis=0)
+        self._weights = weights.reshape(n + 1, -1)
+        self._spectrum = np.fft.rfft(self._weights, self._size, axis=0)
         self._correction = None if correction is None else correction.reshape(n + 1, -1)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
@@ -271,6 +272,20 @@ class LagConvolution:
             out -= self._correction * cols[0]
         out[0] = 0.0
         return out.reshape(vals.shape)
+
+    def row(self, i: int) -> np.ndarray:
+        """Node i's weights on the data at nodes 0..n: out[i] to the FFT's rounding.
+
+        (n + 1,) for 1-D weights, else (cols, n + 1), row m for data column m.
+        """
+        if not 0 <= i < self._shape[0]:
+            raise DomainError(f"node {i} outside 0..{self._shape[0] - 1}")
+        w = np.zeros(self._weights.shape[::-1])
+        if i > 0:
+            w[:, : i + 1] = self._weights[i::-1].T
+            if self._correction is not None:
+                w[:, 0] -= self._correction[i]
+        return w.reshape(self._shape[1:] + w.shape[1:])
 
 
 class ProductQuadrature(LagConvolution):

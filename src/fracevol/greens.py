@@ -236,15 +236,6 @@ def build_O(model: SpectralModel, alpha: float, coupling: NonlocalSpec) -> np.nd
     return _inverse_factors(coupling.weights, decay_at_pins)
 
 
-def _kernel_rows(problem: ProblemSpec, grid: TimeGrid, t: float, kernel=None) -> np.ndarray:
-    """singular_kernel_weights of kernel (ml_table by default) at t, one row per mode."""
-    lams, alpha = problem.model.lambdas, problem.alpha
-    kernel = kernel or partial(ml_table, lams, alpha, alpha)
-    # C order: a sum along a row (the Gramian's) then adds in the same
-    # order as on a row built for one mode alone
-    return np.ascontiguousarray(singular_kernel_weights(alpha, kernel, grid, t).T)
-
-
 def _eval_source(problem: ProblemSpec, times: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The Nemytskii operator: the source at every node, in one call.
 
@@ -378,14 +369,16 @@ def _fixed_point(
 class ResponseAssembly:
     """Everything about (problem, grid) that does not change across iterations.
 
-    Holds the per-mode inverse factors, decay samples, the product
-    quadrature over the (nodes x modes) convolution lag table, and the
-    quadrature rows at the pinning times.  Once first needed, it also
-    holds the source at the zero state (the first Picard step of every
-    solve) and the divergence run limit per (max_iter, identity share).
+    Holds the inverse factors o, the decay samples and the response in one
+    form per mode: the product quadrature's lag weights plus one pinning
+    row P = sum_k c_k (quadrature row at t_k).  The initial state is o *
+    (P . F) for forcing F, and row i of the response is the quadrature's
+    row i plus decay_nodes[i] * o * P (rows(i); the endpoint rows are row
+    n).  Once needed, it also holds the source at the zero state (the
+    first Picard step) and the run limit per (max_iter, identity share).
     Build it once per (problem, grid): its _picard runs every Picard solve
-    (solve_mild, control.regularized_W) and endpoint_rows gives the
-    steering functionals under exactly the same discretization.
+    (solve_mild, control.regularized_W) and rows gives the steering
+    functionals under exactly the same discretization.
     """
 
     def __init__(self, problem: ProblemSpec, grid: TimeGrid):
@@ -401,14 +394,14 @@ class ResponseAssembly:
         flow = ml_table(lams, alpha, 1.0, np.concatenate([grid.nodes, coupling.times]))
         self.decay_nodes, self.decay_at_pins = np.split(flow, [grid.n_steps + 1])
         self.o = _inverse_factors(coupling.weights, self.decay_at_pins)
+        kernel = partial(ml_table, lams, alpha, alpha)
         lags = np.arange(grid.n_steps + 1) * grid.delta
-        self._lag_table = ml_table(lams, alpha, alpha, lags)
-        self._quadrature = ProductQuadrature(alpha, grid, self._lag_table)
-        # weight rows turning sampled forcing into the response integral at
-        # each pinning time; pinning times may sit strictly between nodes
-        self.pin_rows = np.empty((coupling.n_points, problem.n_modes, grid.n_steps + 1))
-        for k, tk in enumerate(coupling.times):
-            self.pin_rows[k] = _kernel_rows(problem, grid, float(tk))
+        self._quadrature = ProductQuadrature(alpha, grid, kernel(lags))
+        # the pinning row: sum_k c_k times the weight rows of the response
+        # integral at t_k, which may sit strictly between nodes
+        self.pinning = np.zeros((problem.n_modes, grid.n_steps + 1))
+        for ck, tk in zip(coupling.weights, coupling.times):
+            self.pinning += ck * singular_kernel_weights(alpha, kernel, grid, float(tk)).T
         self._run_limits: dict[tuple[int, float], int] = {}
 
     @cached_property
@@ -432,37 +425,24 @@ class ResponseAssembly:
             )
         return self._run_limits[key]
 
-    def pin_responses(self, forcing: np.ndarray) -> np.ndarray:
-        """Response integral at each pinning time; result is (n_points, n_modes)."""
-        return np.einsum("kmi,im->km", self.pin_rows, forcing)
-
-    def initial_state(self, forcing: np.ndarray) -> np.ndarray:
-        pins = self.pin_responses(forcing)
-        return self.o * (self.problem.coupling.weights @ pins)
+    def _pinned(self, forcing: np.ndarray) -> np.ndarray:
+        """P . F: sum_k c_k times the response integral at t_k, per mode."""
+        return np.einsum("mi,im->m", self.pinning, forcing)
 
     def response(self, forcing: np.ndarray) -> np.ndarray:
         """States of the linear problem driven by the sampled forcing."""
-        u0 = self.initial_state(forcing)
+        u0 = self.o * self._pinned(forcing)
         return self.decay_nodes * u0[None, :] + self._quadrature(forcing)
 
-    def endpoint_rows(self) -> np.ndarray:
-        """Per-mode weight rows of the forcing-to-endpoint map, gains excluded.
+    def rows(self, i: int) -> np.ndarray:
+        """Per-mode weight rows of the forcing-to-state map at node i, gains excluded.
 
-        Row m dotted with sampled mode-m forcing gives mode m of the state
-        at the horizon, under exactly the discretization solve uses.  The
-        rows are the discrete samples of the endpoint kernel of the
-        combined response (direct part plus pinning corrections); the direct
-        part reads its kernel at the lags k * delta from the lag table.
+        Row m dotted with sampled mode-m forcing gives mode m of
+        response(forcing)[i] up to the FFT's rounding: the quadrature's row
+        i plus the pinning row routed through the flow and the inverse
+        factor.  rows(n_steps) are the endpoint rows.
         """
-        rows = _kernel_rows(self.problem, self.grid, self.grid.horizon, self._lag_kernel)
-        pin_part = np.zeros_like(rows)
-        for ck, pin_rows in zip(self.problem.coupling.weights, self.pin_rows):
-            pin_part += ck * pin_rows
-        return (self.decay_nodes[-1] * self.o)[:, None] * pin_part + rows
-
-    def _lag_kernel(self, lags: np.ndarray) -> np.ndarray:
-        """Lag-table rows at the horizon's lags, each exactly some k * delta."""
-        return self._lag_table[np.rint(lags / self.grid.delta).astype(int)]
+        return self._quadrature.row(i) + (self.decay_nodes[i] * self.o)[:, None] * self.pinning
 
     def solve(
         self,
@@ -510,11 +490,11 @@ class ResponseAssembly:
         )
         if n is None:
             # final consistency of the pinning identity, under the same
-            # quadrature; u[0] is initial_state(forcing), as the flow is
+            # quadrature; u[0] is o * (P . forcing), as the flow is
             # exactly 1 and the quadrature exactly 0 at node 0
-            pins = self.pin_responses(forcing)
             u0 = u[0]
-            gap = u0 - problem.coupling.weights @ (self.decay_at_pins * u0[None, :] + pins)
+            q = problem.coupling.weights @ self.decay_at_pins
+            gap = u0 - (q * u0 + self._pinned(forcing))
             nonlocal_residual = float(np.sqrt(np.sum(gap * gap)))
         else:
             nonlocal_residual = _pinning_gap(problem, u, grid)
@@ -530,8 +510,8 @@ class ResponseAssembly:
 
 
 def endpoint_response_rows(problem: ProblemSpec, grid: TimeGrid) -> np.ndarray:
-    """The single-use form of ResponseAssembly.endpoint_rows, probed by perfbench."""
-    return ResponseAssembly(problem, grid).endpoint_rows()
+    """The single-use form of ResponseAssembly.rows at the horizon, probed by perfbench."""
+    return ResponseAssembly(problem, grid).rows(grid.n_steps)
 
 
 def _forcing_base(

@@ -80,6 +80,8 @@ def read_trajectory(path: str) -> Trajectory:
         raise ConfigError(f"trajectory header: {exc}") from exc
     if min(n_steps, n_modes) < 1:
         raise ConfigError(f"trajectory header: n_steps {n_steps}, n_modes {n_modes} must be >= 1")
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ConfigError(f"trajectory header: horizon {horizon!r} must be positive and finite")
     _header_value(lines[4], "columns")
     rows = lines[5:]
     if len(rows) != n_steps + 1:

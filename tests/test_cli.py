@@ -576,6 +576,38 @@ def test_unreadable_or_unwritable_file_exits_2_with_one_line(tmp_path, case, nam
     assert names in out.stderr
 
 
+@pytest.mark.parametrize("command", ["simulate", "steer"])
+def test_missing_output_directory_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, command):
+    from fracevol import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the output directory")
+
+    monkeypatch.setattr(cli, "solve_mild", no_solve)
+    monkeypatch.setattr(cli, "reachability_experiment", no_solve)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL if command == "simulate" else SMALL_STEER)
+    missing = tmp_path / "nodir"
+    assert cli.main([command, "--config", str(cfg), "--out", str(missing / "a")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"file error: [Errno 2] no such output directory: {str(missing)!r}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf", "-inf", "0", "-1"])
+def test_verify_bad_trajectory_horizon_names_the_header(tmp_path, horizon):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL)
+    traj = tmp_path / "bad.txt"
+    rows = "".join(f"{i / 48!r} 0 0\n" for i in range(49))
+    traj.write_text(TRAJ_HEADER.replace("horizon 1", "horizon " + horizon).format(2) + rows)
+    out = run_cli("verify", "--config", str(cfg), str(traj))
+    assert out.returncode == 2
+    assert out.stderr == (
+        f"config error: trajectory header: horizon {float(horizon)!r} must be positive and finite\n"
+    )
+
+
 def test_every_trace_probe_resolves(monkeypatch):
     # perfbench/layers.py reports a probe whose name is gone as a null
     # metric; load it by path and only look the names up, since install

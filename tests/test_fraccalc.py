@@ -496,6 +496,25 @@ def test_lag_convolution_matches_the_per_mode_midpoint_sums(n):
     assert np.max(np.abs(out[1:] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("shape", [(13,), (13, 3)])
+def test_lag_convolution_rows_are_the_sums_weights(shape):
+    # row(i) dotted with the data, column by column, is node i's sum with
+    # the node-0 correction, and node 0's row is zero like its sum
+    rng = np.random.default_rng(29)
+    weights, correction = rng.standard_normal(shape), rng.standard_normal(shape)
+    data = rng.standard_normal((13, 3))
+    for conv in (LagConvolution(weights), LagConvolution(weights, correction)):
+        out = conv(data)
+        for i in range(13):
+            row = np.broadcast_to(conv.row(i), (3, 13))
+            dots = np.einsum("mj,jm->m", row, data)
+            assert np.allclose(dots, out[i], rtol=0.0, atol=1e-14), i
+        assert not conv.row(0).any()
+        for i in (-1, 13):
+            with pytest.raises(DomainError, match="outside 0..12"):
+                conv.row(i)
+
+
 # ------------------------------------------------------ FFT product quadrature
 
 

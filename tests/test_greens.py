@@ -383,13 +383,18 @@ def test_verify_residual_on_demo_heat_is_pinned():
 # against (observed orders 0.50 and 1.43); the stiff modes dominate.
 MANUFACTURED_ERRORS = {
     0.4: (0.6427725958996839, 0.3200584239814766),
+    0.6: (0.13914494121163923, 0.036847893269829075),
     0.75: (0.03185175207857866, 0.004366935473989301),
+    0.9: (0.005258082238182801, 0.00041494045722344447),
 }
+# rates 64 m**2 at alpha 0.75: the top rate 4,096 has lambda delta**alpha
+# 108 at n = 128 and 38 at n = 512
+STIFF_MANUFACTURED_ERRORS = (6.270729897158639, 2.105257942113758)
 
 
-@pytest.mark.parametrize("alpha", sorted(MANUFACTURED_ERRORS))
-def test_error_against_a_manufactured_solution(alpha):
-    prob, m = demo_problem(alpha=alpha), np.arange(1, 9)
+def check_manufactured_errors(prob, today):
+    """The error at n = 128 and 512 and their order hold today's bounds."""
+    m = np.arange(1, 9)
     errs = []
     for n in (128, 512):
         grid = TimeGrid(1.0, n)
@@ -398,10 +403,22 @@ def test_error_against_a_manufactured_solution(alpha):
         )
         traj, _ = solve_mild(prob, grid, raw_forcing=SampledFn(grid, forcing), tol=1e-13)
         errs.append(np.max(np.sqrt(np.sum((traj.states - exact) ** 2, axis=1))))
-    today = MANUFACTURED_ERRORS[alpha]
     assert errs[0] <= 1.5 * today[0] and errs[1] <= 1.5 * today[1], errs
     order = math.log(errs[0] / errs[1], 4.0)
     assert order >= math.log(today[0] / today[1], 4.0) - 0.1, order
+
+
+@pytest.mark.parametrize("alpha", sorted(MANUFACTURED_ERRORS))
+def test_error_against_a_manufactured_solution(alpha):
+    check_manufactured_errors(demo_problem(alpha=alpha), MANUFACTURED_ERRORS[alpha])
+
+
+def test_error_against_a_manufactured_solution_with_stiff_modes():
+    prob = demo_problem()
+    stiff = SpectralModel(64.0 * prob.model.lambdas)
+    prob = ProblemSpec(stiff, prob.alpha, prob.coupling, prob.nonlinearity, prob.control_gains)
+    assert stiff.lambdas[-1] * (1.0 / 512) ** prob.alpha > 10.0
+    check_manufactured_errors(prob, STIFF_MANUFACTURED_ERRORS)
 
 
 def test_manufactured_solution_meets_its_pinning_condition():

@@ -697,7 +697,8 @@ def test_steer_assembly_tables_never_reach_the_last_resort(monkeypatch):
     cfg = load_config(Path(__file__).resolve().parent.parent / "demos/configs/demo_steer.ini")
     tables = _counting(monkeypatch, "mittag_leffler_array", spectral)
     wall = _counting(monkeypatch, "_branch_cut_wall")
-    ResponseAssembly(build_problem(cfg), build_grid(cfg)).endpoint_rows()
+    grid = build_grid(cfg)
+    ResponseAssembly(build_problem(cfg), grid).rows(grid.n_steps)
     assert _points(tables) > 10_000
     assert not wall
 

@@ -1,11 +1,15 @@
 """Each Mittag-Leffler table a run needs is built once and then read.
 
-ResponseAssembly's lag table serves the endpoint rows as well as the
-product quadrature, and green_weighted_sup evaluates the Green's
-function of all its samples from one inverse-factor build and one table
-per beta.  Every value read keeps the bits of the call it replaces.
+ResponseAssembly holds its response in one form per mode, the product
+quadrature's lag weights plus one pinning row, and reads every row of
+the response from it (the endpoint rows are the last), and
+green_weighted_sup evaluates the Green's function of all its samples
+from one inverse-factor build and one table per beta.  Every value read
+keeps the bits of the call it replaces, or its rounding where a test
+says so.
 """
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +18,11 @@ import pytest
 from fracevol import cli, greens, specfun, spectral
 from fracevol.config import build_grid, build_problem, load_config
 from fracevol.errors import DomainError
-from fracevol.fraccalc import TimeGrid
+from fracevol.fraccalc import TimeGrid, singular_kernel_weights
 from fracevol.greens import (
     NonlocalSpec,
     ProblemSpec,
     ResponseAssembly,
-    _kernel_rows,
     build_O,
     green_apply,
     green_weighted_sup,
@@ -60,41 +63,60 @@ def demo_steer():
     return build_problem(cfg), build_grid(cfg)
 
 
-# ------------------------------------------------------------ endpoint rows
+# ----------------------------------------------------------- response rows
+
+ROW_CASES = ["demo_steer", "pins_between_nodes", "pin_at_horizon", "non_dyadic_grid"]
+
+
+def row_case(case):
+    if case == "demo_steer":
+        return demo_steer()
+    if case == "pins_between_nodes":
+        return pinned_problem(), TimeGrid(1.0, 32)
+    if case == "pin_at_horizon":
+        problem = pinned_problem(times=(0.3, 2.0), weights=(0.2, -0.3), horizon=2.0)
+        return problem, TimeGrid(2.0, 64)
+    # delta = 0.7 / 30 is no binary fraction
+    return pinned_problem(horizon=0.7, times=(0.25, 0.5)), TimeGrid(0.7, 30)
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_response_rows_are_the_impulse_responses(case):
+    # rows(i)[m, j] is mode m at node i of the response to a unit impulse
+    # at node j, to the FFT's rounding, at every node i
+    problem, grid = row_case(case)
+    asm = ResponseAssembly(problem, grid)
+    n = grid.n_steps
+    rows = np.stack([asm.rows(i) for i in range(n + 1)])  # (node i, mode, node j)
+    scale = np.max(np.abs(rows), axis=(1, 2))
+    for j in range(n + 1):
+        impulse = np.zeros((n + 1, problem.n_modes))
+        impulse[j] = 1.0
+        gap = np.abs(rows[:, :, j] - asm.response(impulse))
+        assert np.all(gap <= 1e-15 * scale[:, None]), (j, float(np.max(gap)))
 
 
 def endpoint_rows_from_scratch(asm):
     """The endpoint rows with the horizon's kernel rows evaluated anew."""
     problem, grid = asm.problem, asm.grid
-    rows = _kernel_rows(problem, grid, grid.horizon)
-    pin_part = np.zeros_like(rows)
-    for ck, pin_rows in zip(problem.coupling.weights, asm.pin_rows):
-        pin_part += ck * pin_rows
-    return (asm.decay_nodes[-1] * asm.o)[:, None] * pin_part + rows
+    lams, alpha = problem.model.lambdas, problem.alpha
+    kernel = partial(spectral.ml_table, lams, alpha, alpha)
+    rows = singular_kernel_weights(alpha, kernel, grid, grid.horizon).T
+    return (asm.decay_nodes[-1] * asm.o)[:, None] * asm.pinning + rows
 
 
-@pytest.mark.parametrize(
-    "case", ["demo_steer", "pins_between_nodes", "pin_at_horizon", "non_dyadic_grid"]
-)
-def test_endpoint_rows_read_the_lag_table_bit_for_bit(ml_calls, case):
-    if case == "demo_steer":
-        problem, grid = demo_steer()
-    elif case == "pins_between_nodes":
-        problem, grid = pinned_problem(), TimeGrid(1.0, 32)
-    elif case == "pin_at_horizon":
-        problem = pinned_problem(times=(0.3, 2.0), weights=(0.2, -0.3), horizon=2.0)
-        grid = TimeGrid(2.0, 64)
-    else:
-        # delta = 0.7 / 30 is no binary fraction, yet every horizon lag is
-        # exactly some k * delta and is read
-        problem = pinned_problem(horizon=0.7, times=(0.25, 0.5))
-        grid = TimeGrid(0.7, 30)
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_endpoint_rows_are_the_last_response_row(ml_calls, case):
+    # row n reads the assembly's weights, with no table call, and agrees
+    # with the rows built anew at the horizon but for the node-0 entry's
+    # correction, subtracted after the product rather than before
+    problem, grid = row_case(case)
     asm = ResponseAssembly(problem, grid)
     built = len(ml_calls)
-    rows = asm.endpoint_rows()
-    reads = ml_calls[built:]
-    assert np.array_equal(rows, endpoint_rows_from_scratch(asm))
-    assert reads == []
+    rows = asm.rows(grid.n_steps)
+    assert ml_calls[built:] == []
+    ref = endpoint_rows_from_scratch(asm)
+    assert np.all(np.abs(rows - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
 
 
 @pytest.mark.parametrize("case", ["demo_steer", "pins_between_nodes", "classical"])
@@ -120,8 +142,8 @@ def test_assembly_flow_table_splits_bit_for_bit(ml_calls, case):
 def test_steer_on_demo_steer_builds_each_table_once(ml_calls, tmp_path):
     # one flow table at the nodes and the pinning times (which also gives
     # the inverse factors), the lag table and two pinning rows; the
-    # endpoint rows read the lag table; every table entry is one point,
-    # repeated arguments included
+    # endpoint rows read the quadrature's weights; every table entry is
+    # one point, repeated arguments included
     assert cli.main(["steer", "--config", str(DEMO_STEER), "--out", str(tmp_path / "s")]) == 0
     assert (len(ml_calls), sum(ml_calls)) == (4, 11952)
 

@@ -20,17 +20,18 @@ from .constants import (
     STEER_MAX_OUTER_DEFAULT,
     STEER_TOL_DEFAULT,
 )
-from .errors import ConvergenceError, DomainError, UnsupportedRegimeError
+from .errors import DomainError, UnsupportedRegimeError
 from .fraccalc import SampledFn, TimeGrid
 from .greens import (
+    _DIVERGENCE_MARGIN,
     ProblemSpec,
     ResponseAssembly,
     SolveReport,
     Trajectory,
     _check_tol,
     _eval_source,
+    _fixed_point,
     _forcing_base,
-    _ratio,
     solve_mild,
 )
 
@@ -65,7 +66,7 @@ class SteeringResult:
     control_energy: float
     rho: float
     outer_iterations: int
-    stagnant: bool = False
+    stagnant: bool = False  # no nonzero gain, and the endpoint misses by more than tol
 
     def __post_init__(self) -> None:
         if self.endpoint_error < 0.0 or self.control_energy < 0.0:
@@ -185,10 +186,10 @@ def steer(
     Each pass solves the regularized normal equation with the source
     contribution of the current trajectory frozen: per mode the control is
     the endpoint row scaled by (target - source endpoint) / (rho + Gamma),
-    then the semilinear problem is re-solved under that control.  Stops
-    when the achieved endpoint moves less than tol between passes; every
-    solve stops at SOLVE_TOL_DEFAULT.  The Gramian, the endpoint rows and
-    every solve share one ResponseAssembly.
+    then the semilinear problem is re-solved under that control.  The
+    passes run on greens._fixed_point and stop once the Euclidean endpoint
+    change is <= tol, or fail by its rules (10 growing changes in a row is
+    divergence).  Solves stop at SOLVE_TOL_DEFAULT and share one assembly.
     """
     target = _check_target(problem, target)
     if not (np.isfinite(rho) and rho > 0.0):
@@ -217,56 +218,44 @@ def _steer_cell(
     tol: float,
     max_outer: int,
 ) -> SteeringResult:
-    """The outer loop of ``steer`` on a prepared ``_steering_setup``."""
+    """``steer``'s passes on a prepared ``_steering_setup``, as steps of _fixed_point.
+
+    A pass maps the last solve's states (first the uncontrolled ones) to
+    the next; zero gains zero the control, so the first pass repeats the
+    uncontrolled solve and ends the cell.
+    """
     asm, rows, scaled, gamma_modes = setup
     omega = trapezoid_weights(grid)
+    signal = v = None
 
-    traj, _ = asm.solve()
-    endpoint = traj.final
-    if np.all(problem.control_gains == 0.0):
-        err = float(np.linalg.norm(endpoint - target))
-        zero = ControlSignal(grid, np.zeros((grid.n_steps + 1, problem.n_modes)))
-        return SteeringResult(
-            control=zero,
-            endpoint=endpoint,
-            target=target,
-            endpoint_error=err,
-            control_energy=0.0,
-            rho=float(rho),
-            outer_iterations=0,
-            stagnant=err > tol,
-        )
-
-    trace: list[float] = []
-    for outer in range(1, max_outer + 1):
-        source = _eval_source(problem, grid.nodes, traj.states)
+    def step(states: np.ndarray) -> np.ndarray:
+        nonlocal signal, v
+        source = _eval_source(problem, grid.nodes, states)
         source_endpoint = np.einsum("mj,jm->m", rows, source)
         mismatch = (target - source_endpoint) / (rho + gamma_modes)
         v = (scaled / omega[None, :]) * mismatch[:, None]  # (modes, nodes)
         signal = ControlSignal(grid, v.T.copy())
-        traj, _ = asm.solve(signal)
-        change = float(np.linalg.norm(traj.final - endpoint))
-        endpoint = traj.final
-        trace.append(change)
-        if change <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            "steering outer loop did not settle",
-            iterations=max_outer,
-            final_residual=trace[-1],
-            contraction_estimate=_ratio(trace, math.inf),
-            trace=trace,
-        )
-    energy = float(np.sum(omega[None, :] * v * v))
+        return asm.solve(signal)[0].states
+
+    states, trace = _fixed_point(
+        step,
+        asm.solve()[0].states,
+        tol=tol,
+        max_iter=max_outer,
+        run_limit=_DIVERGENCE_MARGIN,
+        update=lambda new, old: float(np.linalg.norm(new[-1] - old[-1])),
+        name="steering pass",
+    )
+    err = float(np.linalg.norm(states[-1] - target))
     return SteeringResult(
         control=signal,
-        endpoint=endpoint,
+        endpoint=states[-1],
         target=target,
-        endpoint_error=float(np.linalg.norm(endpoint - target)),
-        control_energy=energy,
+        endpoint_error=err,
+        control_energy=float(np.sum(omega[None, :] * v * v)),
         rho=float(rho),
-        outer_iterations=outer,
+        outer_iterations=len(trace),
+        stagnant=bool(np.all(problem.control_gains == 0.0)) and err > tol,
     )
 
 

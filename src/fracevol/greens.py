@@ -52,6 +52,8 @@ __all__ = [
 # growing updates allowed past the transient of _transient_run's bound
 # before _fixed_point stops as diverging
 _DIVERGENCE_MARGIN = 10
+# relative to the iterate's sup, an update this small that stops shrinking is rounding
+_ROUNDING_FLOOR = 8 * np.finfo(float).eps
 # half-width over max(1, horizon) of green_apply's singular set {t} union {t_k}
 _SINGULAR_TOL = 1e-13
 
@@ -321,15 +323,20 @@ def _fixed_point(
     tol: float,
     max_iter: int,
     run_limit: int,
+    update: Callable[[np.ndarray, np.ndarray], float] | None = None,
+    name: str = "Picard iteration",
 ) -> tuple[np.ndarray, list[float]]:
-    """Iterate u <- step(u) from start until the sup-norm update is <= tol.
+    """Iterate u <- step(u) from start until the update is <= tol.
 
-    Returns the last iterate and the update history.  Raises
-    ConvergenceError with both when max_iter updates do not get there,
-    and fails fast when the iteration diverges: on a non-finite iterate,
-    or after run_limit consecutive growing updates (see _transient_run).
-    A DomainError from the step comes back prefixed with its iteration,
-    of the same type.
+    update(u_next, u) sizes one update (None: the sup-norm change); name
+    is what messages call one step.  Returns the last iterate and the
+    update history.  Raises ConvergenceError with both when max_iter
+    updates do not get there, and fails fast when they never will: on a
+    non-finite iterate, after run_limit consecutive growing updates (see
+    _transient_run), or when an update is no smaller than the one before
+    and at most 8 eps times the iterate's largest magnitude (the rounding
+    floor).  A DomainError from the step comes back prefixed with its
+    name and number, of the same type.
     """
     if max_iter < 1:
         raise DomainError("max_iter must be positive")
@@ -342,21 +349,24 @@ def _fixed_point(
             try:
                 u_next = step(u)
             except DomainError as exc:
-                raise type(exc)(f"Picard iteration {k}: {exc}") from exc
-            diff = float(np.max(np.abs(u_next - u)))
+                raise type(exc)(f"{name} {k}: {exc}") from exc
+            diff = float(np.max(np.abs(u_next - u))) if update is None else update(u_next, u)
         growing = growing + 1 if diffs and diff > diffs[-1] else 0
         diffs.append(diff)
         u = u_next
         if diff <= tol:
             return u, diffs
         if not math.isfinite(diff):
-            message = "Picard iteration diverged to a non-finite iterate"
+            message = f"{name} diverged to a non-finite iterate"
             break
         if growing >= run_limit:
-            message = f"Picard iteration diverged: {growing} consecutive growing updates"
+            message = f"{name} diverged: {growing} consecutive growing updates"
+            break
+        if len(diffs) > 1 and diffs[-2] <= diff <= _ROUNDING_FLOOR * float(np.max(np.abs(u))):
+            message = f"{name} stalled at the rounding floor: update {diff:.3e} > tol {tol:.3e}"
             break
     else:
-        message = "Picard iteration did not reach tolerance"
+        message = f"{name} did not reach tolerance"
     raise ConvergenceError(
         message,
         iterations=len(diffs),

@@ -5,6 +5,7 @@ argument parsing and error mapping exactly as a shell user would see
 them.
 """
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -176,6 +177,28 @@ def test_src_has_no_np_convolve():
         if "convolve(" in line
     ]
     assert not hits, hits
+
+
+def test_src_has_one_iteration_driver():
+    # every fixed-point loop in the package, steering passes included, runs
+    # through greens._fixed_point, so its fail-fast rules cover them all; a
+    # loop that raises its own ConvergenceError is a second driver
+    raisers, outer_loops = set(), []
+    for path in sorted((REPO / "src" / "fracevol").rglob("*.py")):
+        text = path.read_text()
+        funcs = [
+            node for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for i, line in enumerate(text.splitlines(), start=1):
+            if "for outer in range" in line:
+                outer_loops.append(f"{path.name}:{i}")
+            if "raise ConvergenceError" in line:
+                inside = [f for f in funcs if f.lineno <= i <= f.end_lineno]
+                innermost = max(inside, key=lambda f: f.lineno).name if inside else None
+                raisers.add((path.name, innermost))
+    assert raisers == {("greens.py", "_fixed_point")}
+    assert not outer_loops, outer_loops
 
 
 def _peak_rss_kib(code):

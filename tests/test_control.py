@@ -23,7 +23,7 @@ from fracevol.control import (
     w_growth_fit,
 )
 from fracevol.constants import QUADRATURE_MATCH_TOL
-from fracevol.errors import ConvergenceError, DomainError, UnsupportedRegimeError
+from fracevol.errors import ConvergenceError, DomainError, SourceError, UnsupportedRegimeError
 from fracevol.fraccalc import SampledFn, TimeGrid
 from fracevol.greens import (
     NonlocalSpec,
@@ -343,7 +343,7 @@ def test_steer_zero_gains_reports_stagnation():
     target = np.array([0.1, 0.0, 0.0])
     res = steer(prob, grid, target, 1e-3)
     assert res.stagnant
-    assert res.outer_iterations == 0
+    assert res.outer_iterations == 1
     assert res.control_energy == 0.0
     uncontrolled, _ = solve_mild(prob, grid)
     assert res.endpoint_error == pytest.approx(
@@ -488,9 +488,38 @@ def test_steer_raises_when_outer_loop_stalls():
     prob = demo_problem(n_modes=4)
     grid = TimeGrid(1.0, 64)
     target = np.array([0.3, 0.1, 0.05, 0.02])
-    with pytest.raises(ConvergenceError) as exc:
+    with pytest.raises(ConvergenceError, match="steering pass did not reach tolerance") as exc:
         steer(prob, grid, target, 1e-5, max_outer=2)
     assert len(exc.value.trace) == 2
+
+
+def gain_problem(gain):
+    return ProblemSpec(
+        SpectralModel.dirichlet_laplacian(4),
+        0.75,
+        demo_coupling(),
+        nonlinearity=mode_gain_source(np.full(4, gain)),
+        control_gains=1.0,
+    )
+
+
+def test_steer_stops_a_diverging_sweep_after_ten_growing_passes():
+    # the pass updates grow by about 1.17 per pass; the sweep stops in its
+    # first cell, not after max_outer (50) passes
+    grid = TimeGrid(1.0, 128)
+    target = np.array([0.1, 0.05, 0.02, 0.01])
+    with pytest.raises(ConvergenceError) as exc:
+        reachability_experiment(gain_problem(1.5), grid, [target], [1e-2, 1e-6])
+    assert len(exc.value.trace) == 11
+    assert "steering pass diverged: 10 consecutive growing updates" in str(exc.value)
+    assert all(b > a for a, b in zip(exc.value.trace, exc.value.trace[1:]))
+
+
+def test_steer_names_the_pass_of_a_failing_source():
+    # the control of pass 1 drives a source of gain 1e308 past overflow
+    grid = TimeGrid(1.0, 128)
+    with pytest.raises(SourceError, match="^steering pass 1: Picard iteration 2: "):
+        steer(gain_problem(1e308), grid, np.array([0.1, 0.05, 0.02, 0.01]), 1e-2)
 
 
 # ------------------------------------------------------------- reachability

@@ -319,6 +319,20 @@ def test_solve_validates_grid_and_signal():
         solve_mild(prob, grid, SampledFn(grid, np.zeros((65, 3))))
 
 
+def test_solve_stops_at_the_rounding_floor():
+    # demo_heat's updates reach 1.1e-16 by iteration 35 and stay there; a
+    # tol below that is never met, so the solve stops instead of running on
+    # to max_iter (200)
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "demos/configs/demo_heat.ini"))
+    prob, grid = build_problem(cfg), build_grid(cfg)
+    forcing = build_forcing(cfg, grid)
+    with pytest.raises(ConvergenceError, match="stalled at the rounding floor") as exc:
+        solve_mild(prob, grid, raw_forcing=forcing, tol=1e-17, max_iter=cfg.max_iter)
+    assert exc.value.iterations <= 40
+    assert exc.value.trace[-2] <= exc.value.trace[-1] < 1e-15
+    assert "tol 1.000e-17" in str(exc.value)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 def test_solve_rejects_bad_tol_before_iterating(tol):
     # a nan tol is never met and an inf tol is met by the first update

@@ -11,8 +11,9 @@ A small numerical library built in layers:
     Diagonal models of the generator and the associated solution and
     resolvent operator families.
 ``greens``
-    Nonlocal initial conditions, the Green's kernel, the mild-solution
-    fixed point, and an independent residual check.
+    Nonlocal initial conditions, the discrete Green's function
+    (``ResponseAssembly.rows``), the mild-solution fixed point, and an
+    independent residual check.
 ``control``
     Forcing-to-state maps, regularized solution maps, per-mode Gramians,
     steering, and reachability experiments.

@@ -49,7 +49,6 @@ __all__ = [
     "trajectory_sup_norm",
     "signal_l2_norm",
     "operator_norm_estimate",
-    "w_growth_fit",
 ]
 
 
@@ -308,30 +307,3 @@ def operator_norm_estimate(problem: ProblemSpec, grid: TimeGrid) -> float:
     omega = trapezoid_weights(grid)
     sums = [np.sum(asm.rows(i) ** 2 / omega, axis=1) for i in range(grid.n_steps + 1)]
     return math.sqrt(float(np.max(sums)))
-
-
-def w_growth_fit(
-    problem: ProblemSpec,
-    grid: TimeGrid,
-    scales: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0),
-    seed: int = 1105,
-) -> tuple[float, float]:
-    """Affine envelope constants (A, B) with ||W mu|| <= A + B ||mu||.
-
-    Fits a least squares line through sampled (||mu||, ||W mu||) pairs,
-    then raises the intercept until every sample sits below the line.
-    """
-    rng = np.random.default_rng(seed)
-    direction = rng.standard_normal((grid.n_steps + 1, problem.n_modes))
-    direction /= signal_l2_norm(grid, direction)
-    asm = ResponseAssembly(problem, grid)
-    xs, ys = [], []
-    for s in scales:
-        traj, _ = asm.solve(raw_forcing=SampledFn(grid, s * direction))
-        xs.append(s)
-        ys.append(trajectory_sup_norm(traj))
-    xs_a, ys_a = np.asarray(xs), np.asarray(ys)
-    slope, intercept = np.polyfit(xs_a, ys_a, 1)
-    slope = max(float(slope), 0.0)
-    intercept = float(np.max(ys_a - slope * xs_a))
-    return intercept, slope

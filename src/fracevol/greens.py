@@ -39,8 +39,6 @@ __all__ = [
     "H1Report",
     "check_H1",
     "build_O",
-    "green_apply",
-    "green_weighted_sup",
     "solve_mild",
     "verify_mild",
     "ResponseAssembly",
@@ -54,8 +52,6 @@ __all__ = [
 _DIVERGENCE_MARGIN = 10
 # relative to the iterate's sup, an update this small that stops shrinking is rounding
 _ROUNDING_FLOOR = 8 * np.finfo(float).eps
-# half-width over max(1, horizon) of green_apply's singular set {t} union {t_k}
-_SINGULAR_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -630,72 +626,6 @@ def verify_mild(
         nonlocal_residual=_pinning_gap(problem, traj.states, grid),
         node_residuals=node_residuals,
     )
-
-
-def _green_values(problem: ProblemSpec, t: np.ndarray, s: np.ndarray, w: np.ndarray):
-    """G(t_i, s_i) w_i off the singular set from one table per beta, in kernel_factors' bits."""
-    lams, alpha, coupling = problem.model.lambdas, problem.alpha, problem.coupling
-    o = build_O(problem.model, alpha, coupling)
-    # lags t_k - s (pin by pin), then t - s, of the samples before each end
-    ends = list(coupling.times) + [t]
-    before = [s < end for end in ends]
-    lags = np.concatenate([(end - s)[m] for end, m in zip(ends, before)])
-    powers = np.array([lag ** (alpha - 1.0) for lag in lags.tolist()])
-    kern = powers[:, None] * ml_table(lams, alpha, alpha, lags)
-    parts = np.split(kern, np.cumsum([m.sum() for m in before])[:-1])
-    decay = ml_table(lams, alpha, 1.0, t)
-    out = np.zeros(w.shape)
-    for ck, m, part in zip(coupling.weights, before, parts):
-        out[m] += ck * decay[m] * o * (part * w[m])
-    out[before[-1]] += parts[-1] * w[before[-1]]
-    return out
-
-
-def green_apply(
-    problem: ProblemSpec, t: float, s: float, w: np.ndarray
-) -> np.ndarray:
-    """Apply the combined response kernel G(t, s) to a mode vector.
-
-    G collects the direct response at lag t - s plus the pinning
-    corrections routed through the inverse factors.  s must avoid the
-    singular set {t} union {t_k}: there the kernel has no finite value.
-    """
-    horizon = problem.horizon
-    if not (0.0 <= t <= horizon and 0.0 <= s <= horizon):
-        raise DomainError("t and s must lie in [0, horizon]")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (problem.n_modes,):
-        raise DomainError("w must be a mode vector")
-    tol = _SINGULAR_TOL * max(1.0, horizon)
-    if abs(t - s) <= tol:
-        raise DomainError("kernel is singular on the diagonal s = t")
-    for tk in problem.coupling.times:
-        if abs(s - tk) <= tol:
-            raise DomainError(f"kernel is singular at the pinning time s = {tk}")
-    one = np.array([t, s], dtype=float)[:, None]
-    return _green_values(problem, one[0], one[1], w[None])[0]
-
-
-def green_weighted_sup(
-    problem: ProblemSpec, n_t: int = 16, n_s: int = 48
-) -> float:
-    """Sampled sup of (t - s)**(1 - alpha) * max-mode |G(t, s) e|.
-
-    Sample points are placed at irrational-looking fractions so they never
-    collide with the singular set; the pinning terms keep their own
-    (t_k - s)**(alpha - 1) growth, which this weight does not cancel, so
-    the reported sup documents the sampled grid only.
-    """
-    a, times = problem.horizon, problem.coupling.times
-    t = np.repeat(a * (np.arange(n_t) + 0.61803398875) / n_t, n_s)
-    s = t * np.tile(np.arange(n_s) + 0.38196601125, n_t) / n_s
-    # skip what green_apply rejects: s on the diagonal or at a pinning time
-    tol = _SINGULAR_TOL * max(1.0, a)
-    keep = (np.abs(t - s) > tol) & np.all(np.abs(s[:, None] - times) > tol, axis=1)
-    t, s = t[keep], s[keep]
-    g = _green_values(problem, t, s, np.ones((t.size, problem.n_modes)))
-    weights = np.array([d ** (1.0 - problem.alpha) for d in (t - s).tolist()])
-    return float(np.max(weights * np.max(np.abs(g), axis=1), initial=0.0))
 
 
 def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity:

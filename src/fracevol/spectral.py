@@ -3,22 +3,26 @@
 The generator is represented by its eigenvalues: a state is a vector of
 coefficients against a fixed orthonormal eigenbasis, and every operator
 acts mode by mode.  The two one-parameter families that drive fractional
-evolution, their classical resolvent, and the norm constants used by the
-admissibility checks all reduce to Mittag-Leffler tables, one per
-(alpha, beta), filled by ``ml_table``.
+evolution and their classical resolvent reduce to Mittag-Leffler tables,
+one per (alpha, beta), filled by ``ml_table``.
+
+Their sup norms are closed forms, not scans.  For 0 < alpha <= 1 both
+E_alpha(-x) and E_{alpha,alpha}(-x) are completely monotone on x >= 0
+(Pollard, Bull. AMS 54, 1948; Schneider, Expo. Math. 14, 1996), so on a
+dissipative model they lie in [0, 1] and [0, 1/Gamma(alpha)] and take
+their largest value at t = 0.  The admissibility check uses the first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 from .fraccalc import SampledFn, TimeGrid, _check_order, rl_integral
-from .specfun import gamma, mittag_leffler_array
+from .specfun import mittag_leffler_array
 
 
 @dataclass(frozen=True)
@@ -55,19 +59,6 @@ class SpectralModel:
             raise DomainError("need at least one mode")
         n = np.arange(1, n_modes + 1, dtype=float)
         return cls(n * n, basis_label="Dirichlet sine basis on (0, pi)")
-
-
-class MsEstimate(NamedTuple):
-    """Sup-norm data for the singular operator family.
-
-    weighted: sup of t**(1-alpha) * operator norm, finite for all time.
-    raw_grid_sup: plain sup of the operator norm over the scan grid; this
-    one diverges like t**(alpha-1) as the scan approaches t = 0 and is
-    reported only to document that blow-up.
-    """
-
-    weighted: float
-    raw_grid_sup: float
 
 
 def _as_modes(model: SpectralModel, x) -> np.ndarray:
@@ -113,59 +104,18 @@ def apply_T(model: SpectralModel, alpha: float, t: float, x) -> np.ndarray:
     return decay_factors(model, alpha, t) * vec
 
 
-def kernel_factors(model: SpectralModel, alpha: float, t: float) -> np.ndarray:
-    """Per-mode values t**(alpha-1) * E_{alpha,alpha}(-lambda_n t**alpha), t > 0."""
-    alpha = _check_order(alpha, allow_one=True)
-    if t <= 0.0:
-        raise DomainError(f"kernel time must be positive, got {t!r}")
-    return t ** (alpha - 1.0) * ml_table(model.lambdas, alpha, alpha, t)[0]
-
-
-def apply_S(model: SpectralModel, alpha: float, t: float, x) -> np.ndarray:
-    """Apply the singular convolution-kernel family at time t > 0."""
-    vec = _as_modes(model, x)
-    return kernel_factors(model, alpha, t) * vec
-
-
 def resolvent(model: SpectralModel, alpha: float, nu: float, x) -> np.ndarray:
-    """(nu**alpha + lambda_n)**(-1) per mode: the Laplace transform of apply_S."""
+    """(nu**alpha + lambda_n)**(-1) per mode.
+
+    The Laplace transform at nu of the kernel
+    t**(alpha-1) * E_{alpha,alpha}(-lambda_n t**alpha).
+    """
     alpha = _check_order(alpha, allow_one=True)
     nu = float(nu)
     if not (math.isfinite(nu) and nu > 0.0):
         raise DomainError(f"transform rate nu must be positive, got {nu!r}")
     vec = _as_modes(model, x)
     return vec / (nu ** alpha + model.lambdas)
-
-
-def estimate_MT(
-    model: SpectralModel, alpha: float, horizon: float, scan_points: int = 257
-) -> float:
-    """Sup over [0, horizon] of the mode-max flow magnitude.
-
-    For a dissipative model the sup is attained at t = 0 and equals 1;
-    the dense scan confirms rather than assumes that.
-    """
-    alpha = _check_order(alpha, allow_one=True)
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
-    times = np.linspace(0.0, horizon, scan_points)[1:]
-    table = ml_table(model.lambdas, alpha, 1.0, times)
-    return float(np.max(np.abs(table), initial=1.0))  # t = 0 included analytically
-
-
-def estimate_MS(
-    model: SpectralModel, alpha: float, horizon: float, scan_points: int = 257
-) -> MsEstimate:
-    """Weighted and raw sup of the singular family over (0, horizon]."""
-    alpha = _check_order(alpha, allow_one=True)
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
-    times = np.linspace(0.0, horizon, scan_points)[1:]
-    mode_max = np.max(np.abs(ml_table(model.lambdas, alpha, alpha, times)), axis=1)
-    # the t -> 0 limit 1/Gamma(alpha) is a maximum for dissipative models
-    weighted = float(np.max(mode_max, initial=1.0 / gamma(alpha)))
-    raw = float(np.max(times ** (alpha - 1.0) * mode_max, initial=0.0))
-    return MsEstimate(weighted=weighted, raw_grid_sup=raw)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ for bit.  branch_cut_reference, the Mittag-Leffler branch-cut rule summed
 at step h on every row, is float64 too.  The product-trapezoid weights and sums
 (panel_moments and its users) take the power's panel moments from the
 antiderivatives at 40 digits, which their cancellation leaves over 30.
+green_row_exact integrates the pointwise Green's function against each
+hat function, its kernel's series term by term, at 60 digits.
 
 The power-series oracle is the ground truth wherever it is affordable.
 For strongly negative arguments with small alpha its peak term outgrows
@@ -542,3 +544,84 @@ def product_quadrature_exact(alpha: float, delta: float, table, values):
             s = mp.fdot(kh[: i + 1], x[i::-1]) - mu1[i] * h[i] * x[0]
             out.append(float(scale * s))
         return out
+
+
+def _kernel_hat_integrals(a, lam, end, delta, n: int, dps_tol):
+    """Integrals over [0, end] of K(end - s) times each hat function, as mpf.
+
+    K(tau) = sum_m (-lam)**m tau**p_m / Gamma(a m + a), p_m = a (m + 1) - 1.
+    On a panel of hat j cut at end, the hat is A + B tau in tau = end - s,
+    and the integral of tau**p (A + B tau) is A tau**(p+1) / (p+1) + B
+    tau**(p+2) / (p+2) between the cut ends.  Each term's powers come from
+    one running product per panel end.
+    """
+    pieces = []  # (j, tau_lo, tau_hi, A, B)
+    for j in range(n + 1):
+        node = j * delta
+        for lo, hi, rising in ((node - delta, node, True), (node, node + delta, False)):
+            lo, hi = max(lo, mp.mpf(0)), min(hi, end, n * delta)
+            if hi <= lo:
+                continue
+            # hat = u + v s on [lo, hi], so A = u + v end and B = -v in tau
+            v = 1 / delta if rising else -1 / delta
+            u = -v * node + 1
+            pieces.append((j, end - hi, end - lo, u + v * end, -v))
+    taus = sorted({p[1] for p in pieces} | {p[2] for p in pieces})
+    step = {tau: tau ** a for tau in taus}
+    power = dict(step)  # tau**(p_m + 1) = tau**(a (m + 1))
+    out = [mp.mpf(0)] * (n + 1)
+    m = 0
+    while True:
+        coef = (-lam) ** m / mp.gamma(a * m + a)
+        p = a * (m + 1) - 1
+        for j, lo, hi, A, B in pieces:
+            out[j] += coef * (
+                A * (power[hi] - power[lo]) / (p + 1)
+                + B * (hi * power[hi] - lo * power[lo]) / (p + 2)
+            )
+        # |coef| tau**(p+1) bounds the term for tau <= end; it falls for good past the peak
+        if m > 20 and abs(coef) * power[taus[-1]] * (1 + end) < dps_tol:
+            return out
+        for tau in taus:
+            power[tau] *= step[tau]
+        m += 1
+
+
+def green_row_exact(alpha: float, lam: float, weights, times, horizon: float,
+                    n: int, i: int):
+    """Integrals of one mode's Green's function G(t_i, s) against each hat function.
+
+    G(t, s) = [s < t] K(t - s) + E_alpha(-lam t**alpha) o sum_k c_k [s < t_k]
+    K(t_k - s), with K(tau) = tau**(alpha-1) E_{alpha,alpha}(-lam tau**alpha)
+    and o = 1 / (1 - sum_k c_k E_alpha(-lam t_k**alpha)), on the uniform grid
+    of n steps over [0, horizon] with t_i = i horizon / n.  Entry j is the
+    exact weight of node j in the mode's state at node i when the forcing
+    is the piecewise linear interpolant of its node values: the row that
+    ResponseAssembly.rows(i) approximates.  K is integrated term by term
+    (_kernel_hat_integrals) at 60 digits; no quadrature.  Returns n + 1
+    floats.
+    """
+    with mp.workdps(60):
+        a, ll = mp.mpf(alpha), mp.mpf(lam)
+        delta = mp.mpf(horizon) / n
+        tol = mp.mpf(10) ** -50
+
+        def flow(t):  # E_alpha(-lam t**alpha) by its series
+            x, s, m = -ll * t ** a, mp.mpf(0), 0
+            while True:
+                term = x ** m / mp.gamma(a * m + 1)
+                s += term
+                m += 1
+                if m > 20 and abs(term) < tol:
+                    return s
+
+        pins = [mp.mpf(float(tk)) for tk in times]
+        cs = [mp.mpf(float(ck)) for ck in weights]
+        o = 1 / (1 - mp.fsum(ck * flow(tk) for ck, tk in zip(cs, pins)))
+        t = i * delta
+        row = _kernel_hat_integrals(a, ll, t, delta, n, tol)
+        scale = flow(t) * o
+        for ck, tk in zip(cs, pins):
+            pinned = _kernel_hat_integrals(a, ll, tk, delta, n, tol)
+            row = [r + scale * ck * q for r, q in zip(row, pinned)]
+        return [float(r) for r in row]

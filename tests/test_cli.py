@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fracevol
 from fracevol.serialize import read_trajectory
 from fracevol.specfun import mittag_leffler
 
@@ -199,6 +200,77 @@ def test_src_has_one_iteration_driver():
                 raisers.add((path.name, innermost))
     assert raisers == {("greens.py", "_fixed_point")}
     assert not outer_loops, outer_loops
+
+
+# public package functions that nothing outside the tests calls, kept on purpose
+TEST_ONLY_PUBLIC = {
+    "apply_T": "the paper's solution operator T(t); decay_factors, its table row, is probed",
+    "resolvent": "acceptance criterion 5, the Laplace transform of the kernel",
+    "check_solution_operator_identity": "acceptance criterion 4",
+    "operator_norm_estimate": "the exact discrete norm of apply_K that ROADMAP item 6 builds on",
+    "signal_l2_norm": "the norm operator_norm_estimate is stated in, and its test's reference",
+    "normalize_config": "the canonical config text that README documents; it parses back equal",
+}
+_DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _code_references(tree):
+    """(name, top-level def it sits in) for each name, attribute and string in code.
+
+    Docstrings and __all__ lists name things without using them, so they
+    are left out.
+    """
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, *_DEFS)) and node.body
+        and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+    }
+    refs = []
+    for top in tree.body:
+        if isinstance(top, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets
+        ):
+            continue
+        owner = top.name if isinstance(top, _DEFS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, owner))
+            elif isinstance(node, ast.alias):
+                refs.append((node.name.rsplit(".", 1)[-1], owner))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) not in docstrings:
+                    refs.append((node.value, owner))
+    return refs
+
+
+def test_src_has_no_test_only_public_surface():
+    # each public top-level function or class of the package is used by
+    # code in src/, demos/ or perfbench/ (not by its own definition and not
+    # by a test), is exported by the package, or is on the allow-list with
+    # its reason; names that only tests reach are surface to delete
+    package = REPO / "src" / "fracevol"
+    used, public = set(), []
+    for root in (package, REPO / "demos", REPO / "perfbench"):
+        for path in sorted(root.rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            tree = ast.parse(path.read_text())
+            used |= {(name, path, owner) for name, owner in _code_references(tree)}
+            if path.parent == package:
+                public += [
+                    (path, node.name) for node in tree.body
+                    if isinstance(node, _DEFS) and not node.name.startswith("_")
+                ]
+    unreached = {
+        name for path, name in public
+        if name not in fracevol.__all__
+        and not any(n == name and (p, o) != (path, name) for n, p, o in used)
+    }
+    # a stale entry of the allow-list fails too
+    assert unreached == set(TEST_ONLY_PUBLIC), sorted(unreached ^ set(TEST_ONLY_PUBLIC))
 
 
 def _peak_rss_kib(code):

@@ -20,7 +20,6 @@ from fracevol.control import (
     steer,
     trajectory_sup_norm,
     trapezoid_weights,
-    w_growth_fit,
 )
 from fracevol.constants import QUADRATURE_MATCH_TOL
 from fracevol.errors import ConvergenceError, DomainError, SourceError, UnsupportedRegimeError
@@ -612,19 +611,6 @@ def test_solution_map_zero_input_zero_source():
     traj, rep = solution_map_W(prob, SampledFn(grid, np.zeros((65, 1))))
     assert np.all(traj.states == 0.0)
     assert rep.iterations == 1
-
-
-def test_solution_map_growth_fit():
-    prob = demo_problem(n_modes=4)
-    grid = TimeGrid(1.0, 96)
-    a, b = w_growth_fit(prob, grid)
-    assert a >= 0.0 and b > 0.0
-    rng = np.random.default_rng(77)
-    for _ in range(3):
-        mu = rng.standard_normal((97, 4))
-        traj, _ = solution_map_W(prob, SampledFn(grid, mu))
-        norm_mu = float(np.max(np.linalg.norm(mu, axis=1)))
-        assert trajectory_sup_norm(traj) <= 1.2 * (a + b * norm_mu) + 1e-9
 
 
 def test_regularized_map_without_nonlinearity_is_exact():

@@ -24,14 +24,12 @@ from fracevol.greens import (
     _transient_run,
     build_O,
     check_H1,
-    green_apply,
-    green_weighted_sup,
     mode_gain_source,
     sine_collocation_source,
     solve_mild,
     verify_mild,
 )
-from fracevol.spectral import SpectralModel, decay_factors, kernel_factors
+from fracevol.spectral import SpectralModel, decay_factors
 from fracevol.specfun import gamma, mittag_leffler
 
 
@@ -445,42 +443,6 @@ def test_manufactured_solution_meets_its_pinning_condition():
 # ----------------------------------------------------------- combined kernel
 
 
-def test_green_apply_singularities_rejected():
-    prob = demo_problem(n_modes=2)
-    w = np.ones(2)
-    with pytest.raises(DomainError):
-        green_apply(prob, 0.5, 0.5, w)
-    with pytest.raises(DomainError):
-        green_apply(prob, 0.8, 0.3, w)  # pinning time
-    with pytest.raises(DomainError):
-        green_apply(prob, 1.2, 0.1, w)
-    with pytest.raises(DomainError):
-        green_apply(prob, 0.5, 0.1, np.ones(3))
-
-
-def test_green_apply_classical_is_direct_kernel():
-    prob = ProblemSpec(SpectralModel.dirichlet_laplacian(3), 0.75, classical())
-    w = np.array([1.0, -1.0, 0.5])
-    out = green_apply(prob, 0.7, 0.2, w)
-    ref = kernel_factors(prob.model, 0.75, 0.5) * w
-    assert np.max(np.abs(out - ref)) < 1e-14
-    # beyond both t and every pinning time the kernel carries nothing
-    assert np.all(green_apply(prob, 0.3, 0.9, w) == 0.0)
-
-
-def test_green_apply_combines_pinning_terms():
-    prob = ProblemSpec(SpectralModel.dirichlet_laplacian(2), 0.75, demo_coupling())
-    w = np.array([0.5, 1.5])
-    t, s = 0.8, 0.45  # s below t and below t_2 = 0.6, above t_1 = 0.3
-    out = green_apply(prob, t, s, w)
-    o = build_O(prob.model, 0.75, prob.coupling)
-    expect = kernel_factors(prob.model, 0.75, t - s) * w
-    expect = expect + 0.1 * decay_factors(prob.model, 0.75, t) * o * (
-        kernel_factors(prob.model, 0.75, 0.6 - s) * w
-    )
-    assert np.max(np.abs(out - expect)) < 1e-13
-
-
 def test_green_form_matches_solver_representation():
     # assemble the combined-kernel form term by term with the quadrature
     # primitives and compare against the solver's two-step trajectory
@@ -516,10 +478,48 @@ def test_green_form_matches_solver_representation():
         assert np.max(np.abs(rebuilt - traj.states[i])) < 1e-12
 
 
-def test_green_weighted_sup_finite():
-    prob = demo_problem(n_modes=4)
-    sup = green_weighted_sup(prob, n_t=8, n_s=16)
-    assert np.isfinite(sup) and sup > 0.0
+# (rates, alpha, n) -> today's largest |rows(i) - exact row| over i = n/2, n,
+# the modes and the nodes: the product trapezoid's error on the smooth
+# factor E_{alpha,alpha}(-lam tau**alpha), which it samples only at the nodes.
+# Exact Mittag-Leffler product weights (ROADMAP item 7) must bring these
+# down to rounding.
+GREEN_ROW_MISSES = {
+    # first order in the rate: 5.6e-17 at rate 1e-20
+    ((1e-12,), 0.4, 8): 1.1396439347777232e-13,
+    # largest |R| 9.32e-2
+    ((1.0, 4.0), 0.75, 16): 0.015598413406542028,
+    # largest |R| 0.131
+    ((16.0,), 0.75, 8): 0.08537465377649847,
+}
+
+
+def green_row_miss(rates, alpha, n):
+    """Largest |rows(i) - exact row| and |rows(i)| over i = n/2, n and the modes."""
+    coupling = demo_coupling()
+    problem = ProblemSpec(SpectralModel(np.array(rates)), alpha, coupling)
+    asm = ResponseAssembly(problem, TimeGrid(1.0, n))
+    miss = size = 0.0
+    for i in (n // 2, n):
+        rows = asm.rows(i)
+        for m, lam in enumerate(rates):
+            exact = oracles.green_row_exact(
+                alpha, lam, coupling.weights, coupling.times, 1.0, n, i
+            )
+            miss = max(miss, float(np.max(np.abs(rows[m] - exact))))
+            size = max(size, float(np.max(np.abs(rows[m]))))
+    return miss, size
+
+
+def test_response_rows_are_exact_on_the_power_kernel():
+    # the product trapezoid integrates tau**(alpha-1) against each hat exactly
+    miss, size = green_row_miss((1e-20,), 0.4, 8)
+    assert miss <= 4 * np.finfo(float).eps * size, miss
+
+
+@pytest.mark.parametrize("case", list(GREEN_ROW_MISSES), ids=["near_power", "mild", "stiff"])
+def test_response_rows_against_the_exact_green_rows(case):
+    miss, _ = green_row_miss(*case)
+    assert miss <= 1.5 * GREEN_ROW_MISSES[case], miss
 
 
 # -------------------------------------------------------------- nonlinearity

@@ -10,7 +10,7 @@ from scipy import special
 from fracevol import constants, specfun
 from fracevol.errors import DomainError
 from fracevol.specfun import gamma, mittag_leffler, mittag_leffler_array
-from fracevol.spectral import SpectralModel, kernel_factors, ml_table
+from fracevol.spectral import SpectralModel, ml_table
 
 import oracles
 
@@ -190,27 +190,17 @@ def test_oracle_chain():
 
 
 def test_kernel_values():
-    # t**(a-1) * E_{a,a}(-lam t**a), frozen oracle value and composition
+    # t**(a-1) * E_{a,a}(-lam t**a) from a table row, against a frozen
+    # oracle value
     alpha, lam, t = 0.75, 4.0, 0.5
     ref = t ** (alpha - 1.0) * oracles.ml_oracle(alpha, alpha, -lam * t ** alpha)
-    assert kernel_factors(SpectralModel(np.array([lam])), alpha, t)[0] == pytest.approx(
+    assert t ** (alpha - 1.0) * ml_table([lam], alpha, alpha, [t])[0, 0] == pytest.approx(
         ref, rel=1e-12
     )
-    # lam = 0 collapses to the power kernel; a model's rates are positive,
-    # so the table row that kernel_factors scales is taken directly
+    # lam = 0 collapses to the power kernel t**(a-1) / Gamma(a)
     assert 0.25 ** (-0.4) * ml_table([0.0], 0.6, 0.6, [0.25])[0, 0] == pytest.approx(
         0.25 ** (-0.4) / gamma(0.6), rel=1e-13
     )
-
-
-@pytest.mark.parametrize(
-    "alpha,lam,t",
-    [(0.0, 1.0, 0.5), (0.5, -1.0, 0.5), (0.5, 1.0, 0.0), (0.5, 1.0, -1.0)],
-)
-def test_kernel_domain(alpha, lam, t):
-    # alpha = 1 is inside the domain: the kernel is then exp(-lam t)
-    with pytest.raises(DomainError):
-        kernel_factors(SpectralModel(np.array([lam])), alpha, t)
 
 
 # ------------------------------------------------------- array evaluator

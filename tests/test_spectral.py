@@ -11,13 +11,9 @@ from fracevol.errors import DomainError
 from fracevol.fraccalc import TimeGrid
 from fracevol.spectral import (
     SpectralModel,
-    apply_S,
     apply_T,
     check_solution_operator_identity,
     decay_factors,
-    estimate_MS,
-    estimate_MT,
-    kernel_factors,
     ml_table,
     resolvent,
 )
@@ -90,36 +86,6 @@ def test_decay_requires_nonnegative_time():
         apply_T(model(1.0), 0.5, -0.1, np.ones(1))
 
 
-def test_kernel_operator_positive_time_only():
-    m = model(1.0)
-    for t in (0.0, -0.5):
-        with pytest.raises(DomainError):
-            apply_S(m, 0.5, t, np.ones(1))
-
-
-def test_kernel_operator_matches_series_oracle():
-    m = model(4.0)
-    t, alpha = 0.5, 0.75
-    ref = t ** (alpha - 1.0) * oracles.ml_oracle(alpha, alpha, -4.0 * t ** alpha)
-    assert apply_S(m, alpha, t, np.ones(1))[0] == pytest.approx(ref, rel=1e-12)
-
-
-def test_kernel_operator_collapses_to_decay_at_order_one():
-    m = model(1.0, 3.0, 7.0)
-    x = np.array([1.0, -2.0, 0.5])
-    a = apply_S(m, 1.0, 0.8, x)
-    b = apply_T(m, 1.0, 0.8, x)
-    assert np.max(np.abs(a - b)) < 1e-14
-
-
-def test_kernel_factors_small_rate_limit():
-    # rate -> 0 leaves the pure power kernel t**(a-1)/gamma(a)
-    m = model(1e-12)
-    t, alpha = 0.7, 0.6
-    out = kernel_factors(m, alpha, t)
-    assert out[0] == pytest.approx(t ** (alpha - 1.0) / gamma(alpha), rel=1e-9)
-
-
 def test_resolvent_closed_form():
     m = model(1.0, 3.0)
     out = resolvent(m, 0.5, 1.0, np.array([2.0, 4.0]))
@@ -136,27 +102,6 @@ def test_resolvent_is_laplace_transform_of_kernel():
                 lhs = resolvent(model(lam), alpha, nu, np.ones(1))[0]
                 rhs = oracles.laplace_of_resolvent_kernel(alpha, lam, nu, 16.0 / nu)
                 assert lhs == pytest.approx(rhs, rel=RESOLVENT_LAPLACE_TOL)
-
-
-# ------------------------------------------------------------------ estimates
-
-
-def test_decay_sup_is_one_for_dissipative_models():
-    for alpha in (0.4, 0.75, 1.0):
-        est = estimate_MT(model(1.0, 9.0, 100.0), alpha, horizon=2.0)
-        assert est == 1.0
-
-
-def test_kernel_sup_weighted_and_raw():
-    m = model(1.0, 4.0)
-    alpha = 0.75
-    est = estimate_MS(m, alpha, horizon=1.0)
-    assert est.weighted == pytest.approx(1.0 / gamma(alpha), rel=1e-12)
-    # the unweighted grid sup sees the t**(a-1) blow-up and grows without
-    # bound as the scan refines toward t = 0
-    coarse = estimate_MS(m, alpha, horizon=1.0, scan_points=129).raw_grid_sup
-    fine = estimate_MS(m, alpha, horizon=1.0, scan_points=4097).raw_grid_sup
-    assert fine > coarse > est.weighted
 
 
 def test_decay_strong_continuity_near_zero():
@@ -199,20 +144,36 @@ def test_ml_table_equals_scalar_evaluation_bit_for_bit():
             assert np.array_equal(table, ref)
 
 
-def test_decay_and_kernel_factors_are_table_rows():
+def test_decay_factors_are_table_rows():
     m = model(1.0, 4.0, 9.0)
     alpha = 0.7
     for t in (0.0, 0.37, 1.9):
         assert np.array_equal(decay_factors(m, alpha, t), ml_table(m.lambdas, alpha, 1.0, [t])[0])
-    t = 0.37
-    row = ml_table(m.lambdas, alpha, alpha, [t])[0]
-    assert np.array_equal(kernel_factors(m, alpha, t), t ** (alpha - 1.0) * row)
 
 
 def test_ml_table_rejects_negative_or_nonfinite_time():
     for bad in (-0.1, math.inf, math.nan):
         with pytest.raises(DomainError, match="time"):
             ml_table([1.0, 4.0], 0.75, 1.0, [0.5, bad])
+
+
+def test_ml_table_rejects_order_zero():
+    with pytest.raises(DomainError):
+        ml_table([1.0, 4.0], 0.0, 1.0, [0.5])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.4, 0.6, 0.75, 0.9, 0.99, 1.0])
+def test_ml_table_sups_are_the_closed_forms(alpha):
+    # E_alpha(-x) and E_{alpha,alpha}(-x) are completely monotone, so on a
+    # dissipative model their sups over t >= 0 are 1 and 1/Gamma(alpha),
+    # taken at t = 0, and no entry is negative
+    times = np.linspace(0.0, 2.0, 257)
+    for beta, sup in ((1.0, 1.0), (alpha, 1.0 / gamma(alpha))):
+        table = ml_table([1.0, 9.0, 100.0, 4096.0], alpha, beta, times)
+        assert np.all(table >= 0.0)
+        assert np.all(table <= sup)
+        assert np.all(table[0] == table.max())
+        assert table[0, 0] == pytest.approx(sup, rel=1e-15)
 
 
 # ----------------------------------------------------- integrated-form check

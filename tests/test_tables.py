@@ -2,11 +2,9 @@
 
 ResponseAssembly holds its response in one form per mode, the product
 quadrature's lag weights plus one pinning row, and reads every row of
-the response from it (the endpoint rows are the last), and
-green_weighted_sup evaluates the Green's function of all its samples
-from one inverse-factor build and one table per beta.  Every value read
-keeps the bits of the call it replaces, or its rounding where a test
-says so.
+the response from it (the endpoint rows are the last): that is the
+discrete Green's function.  Every value read keeps the bits of the call
+it replaces, or its rounding where a test says so.
 """
 
 from functools import partial
@@ -15,20 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracevol import cli, greens, specfun, spectral
+from fracevol import cli, specfun, spectral
 from fracevol.config import build_grid, build_problem, load_config
-from fracevol.errors import DomainError
 from fracevol.fraccalc import TimeGrid, singular_kernel_weights
 from fracevol.greens import (
     NonlocalSpec,
     ProblemSpec,
     ResponseAssembly,
     build_O,
-    green_apply,
-    green_weighted_sup,
     sine_collocation_source,
 )
-from fracevol.spectral import SpectralModel, decay_factors, kernel_factors
+from fracevol.spectral import SpectralModel
 
 DEMO_STEER = Path(__file__).resolve().parent.parent / "demos" / "configs" / "demo_steer.ini"
 
@@ -147,87 +142,3 @@ def test_steer_on_demo_steer_builds_each_table_once(ml_calls, tmp_path):
     assert cli.main(["steer", "--config", str(DEMO_STEER), "--out", str(tmp_path / "s")]) == 0
     assert (len(ml_calls), sum(ml_calls)) == (4, 11952)
 
-
-# --------------------------------------------------------- Green's function
-
-
-def green_one_sample(problem, t, s, w):
-    """G(t, s) w from kernel_factors and decay_factors at this one sample."""
-    model, alpha = problem.model, problem.alpha
-    o = build_O(model, alpha, problem.coupling)
-    out = np.zeros(problem.n_modes)
-    for ck, tk in zip(problem.coupling.weights, problem.coupling.times):
-        if s < tk:
-            correction = kernel_factors(model, alpha, float(tk - s))
-            out += ck * decay_factors(model, alpha, float(t)) * o * (correction * w)
-    if s < t:
-        out += kernel_factors(model, alpha, float(t - s)) * w
-    return out
-
-
-GREEN_PROBLEMS = {
-    "demo": pinned_problem(n_modes=8),
-    "three_pins": pinned_problem(4, (0.25, 0.5, 1.0), (0.3, -0.2, 0.1)),
-    "classical": pinned_problem(3, (), ()),
-}
-
-
-@pytest.mark.parametrize("name", sorted(GREEN_PROBLEMS))
-def test_green_apply_keeps_the_bits_of_one_sample(name):
-    problem = GREEN_PROBLEMS[name]
-    rng = np.random.default_rng(11)
-    for t, s in rng.uniform(0.0, 1.0, (30, 2)):
-        w = rng.standard_normal(problem.n_modes)
-        got = green_apply(problem, float(t), float(s), w)
-        assert np.array_equal(got, green_one_sample(problem, float(t), float(s), w))
-
-
-@pytest.mark.parametrize("name", sorted(GREEN_PROBLEMS))
-def test_green_weighted_sup_equals_the_sample_loop(name):
-    problem = GREEN_PROBLEMS[name]
-    n_t, n_s = 6, 10
-    best = 0.0
-    ones = np.ones(problem.n_modes)
-    for i in range(n_t):
-        t = problem.horizon * (i + 0.61803398875) / n_t
-        for j in range(n_s):
-            s = t * (j + 0.38196601125) / n_s
-            g = green_one_sample(problem, t, s, ones)
-            best = max(best, (t - s) ** (1.0 - problem.alpha) * float(np.max(np.abs(g))))
-    assert green_weighted_sup(problem, n_t, n_s) == best
-
-
-def test_green_weighted_sup_skips_samples_on_the_singular_set(monkeypatch):
-    # with n_s = 1 the only s of each t is 0.38196601125 t; a pinning time
-    # placed on one of them removes that sample, as green_apply rejects it
-    t = 0.5 * 0.61803398875
-    problem = pinned_problem(times=(t * 0.38196601125,), weights=(0.2,))
-    with pytest.raises(DomainError, match="pinning time"):
-        green_apply(problem, t, t * 0.38196601125, np.ones(3))
-    sizes = []
-    values = greens._green_values
-
-    def counted(problem, t, s, w):
-        sizes.append(t.size)
-        return values(problem, t, s, w)
-
-    monkeypatch.setattr(greens, "_green_values", counted)
-    assert np.isfinite(green_weighted_sup(problem, 2, 1))
-    assert sizes == [1]
-
-
-def test_green_weighted_sup_builds_once(ml_calls, monkeypatch):
-    builds = []
-    build = greens.build_O
-
-    def counted(*args):
-        builds.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(greens, "build_O", counted)
-    sup = green_weighted_sup(pinned_problem(n_modes=8))
-    assert sup == 0.9502606714697462
-    # one inverse-factor build (one flow table for both pins), then one
-    # E_{alpha,alpha} table and one E_{alpha,1} table for all 768 samples
-    assert len(builds) == 1
-    assert len(ml_calls) == 1 + 2

@@ -22,7 +22,7 @@ lists; semicolons separate vectors inside the targets list):
     n_steps = <int >= 1>
 
     [solver]                         optional section
-    tol = <tolerance>
+    tol = <tolerance>                Picard stop: the update's sup norm
     max_iter = <budget>
     verify_equation_tol = <tolerance>
     verify_pinning_tol = <tolerance>
@@ -30,7 +30,7 @@ lists; semicolons separate vectors inside the targets list):
     [experiment]                     optional; required by the steer command
     targets = <float list> [; <float list> ...]
     rho = <strictly decreasing positive float list>
-    steer_tol = <tolerance>
+    steer_tol = <tolerance>          pass stop: the trajectory change's sup norm
     max_outer = <budget>
 
 A <tolerance> is a positive finite float: nan, inf, 0 and negative

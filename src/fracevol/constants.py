@@ -14,12 +14,14 @@ QUADRATURE_MATCH_TOL        1e-12      alternative quadrature paths agreement
 CAPUTO_CONST_TOL            1e-14      Caputo derivative of a constant
 RESOLVENT_LAPLACE_TOL       1e-4       resolvent vs truncated Laplace quadrature
 OPERATOR_IDENTITY_TOL       1e-3       integrated-form residual at 512 steps
-NEUMANN_CLOSED_FORM_TOL     1e-10      Neumann sum vs closed form, per mode
-SOLVE_TOL_DEFAULT           1e-8       Picard stopping tolerance
+NEUMANN_CLOSED_FORM_TOL     1e-10      build_O vs 1 / (1 - q), per mode
+SOLVE_TOL_DEFAULT           1e-8       Picard stop, update's sup norm
 SOLVE_MAX_ITER_DEFAULT      200        Picard iteration cap
-STEER_TOL_DEFAULT           1e-9       outer steering loop stopping tolerance
+STEER_TOL_DEFAULT           1e-9       steering pass stop, update's sup norm
 STEER_MAX_OUTER_DEFAULT     50         outer steering iteration cap
 ==========================  =========  ====================================
+
+Sup norm: the largest Euclidean length of a node's mode vector (greens._sup_norm).
 """
 from __future__ import annotations
 

@@ -32,6 +32,7 @@ from .greens import (
     _eval_source,
     _fixed_point,
     _forcing_base,
+    _sup_norm,
     solve_mild,
 )
 
@@ -87,8 +88,8 @@ def trapezoid_weights(grid: TimeGrid) -> np.ndarray:
 
 
 def trajectory_sup_norm(traj: Trajectory) -> float:
-    """sup over nodes of the mode vector length."""
-    return float(np.max(np.sqrt(np.sum(traj.states ** 2, axis=1))))
+    """sup over nodes of the mode vector length: the solver's norm, greens._sup_norm."""
+    return _sup_norm(traj.states)
 
 
 def signal_l2_norm(grid: TimeGrid, values: np.ndarray) -> float:
@@ -186,9 +187,10 @@ def steer(
     contribution of the current trajectory frozen: per mode the control is
     the endpoint row scaled by (target - source endpoint) / (rho + Gamma),
     then the semilinear problem is re-solved under that control.  The
-    passes run on greens._fixed_point and stop once the Euclidean endpoint
-    change is <= tol, or fail by its rules (10 growing changes in a row is
-    divergence).  Solves stop at SOLVE_TOL_DEFAULT and share one assembly.
+    passes run on greens._fixed_point, so they stop once the sup-norm
+    change of the trajectory is <= tol, or fail by its rules (10 growing
+    updates in a row is divergence), as Picard steps do.  Solves stop at
+    SOLVE_TOL_DEFAULT and share one assembly.
     """
     target = _check_target(problem, target)
     if not (np.isfinite(rho) and rho > 0.0):
@@ -196,8 +198,7 @@ def steer(
     if max_outer < 1:
         raise DomainError("max_outer must be positive")
     _check_tol(tol)
-    setup = _steering_setup(problem, grid)
-    return _steer_cell(problem, grid, setup, target, rho, tol=tol, max_outer=max_outer)
+    return _steer_cell(_steering_setup(problem, grid), target, rho, tol=tol, max_outer=max_outer)
 
 
 def _check_target(problem: ProblemSpec, target) -> np.ndarray:
@@ -208,11 +209,10 @@ def _check_target(problem: ProblemSpec, target) -> np.ndarray:
 
 
 def _steer_cell(
-    problem: ProblemSpec,
-    grid: TimeGrid,
     setup,
     target: np.ndarray,
     rho: float,
+    name: str = "steering pass",
     *,
     tol: float,
     max_outer: int,
@@ -221,9 +221,10 @@ def _steer_cell(
 
     A pass maps the last solve's states (first the uncontrolled ones) to
     the next; zero gains zero the control, so the first pass repeats the
-    uncontrolled solve and ends the cell.
+    uncontrolled solve and ends the cell; name labels the passes in messages.
     """
     asm, rows, scaled, gamma_modes = setup
+    problem, grid = asm.problem, asm.grid
     omega = trapezoid_weights(grid)
     signal = v = None
 
@@ -236,14 +237,9 @@ def _steer_cell(
         signal = ControlSignal(grid, v.T.copy())
         return asm.solve(signal)[0].states
 
+    start = asm.solve()[0].states
     states, trace = _fixed_point(
-        step,
-        asm.solve()[0].states,
-        tol=tol,
-        max_iter=max_outer,
-        run_limit=_DIVERGENCE_MARGIN,
-        update=lambda new, old: float(np.linalg.norm(new[-1] - old[-1])),
-        name="steering pass",
+        step, start, tol=tol, max_iter=max_outer, run_limit=_DIVERGENCE_MARGIN, name=name
     )
     err = float(np.linalg.norm(states[-1] - target))
     return SteeringResult(
@@ -287,7 +283,8 @@ def reachability_experiment(
     rows: list[tuple[int, float, float, float, int]] = []
     for tid, target in enumerate(kept):
         for rho in rhos:
-            res = _steer_cell(problem, grid, setup, target, rho, tol=tol, max_outer=max_outer)
+            name = f"target {tid}, rho {rho!r}: steering pass"
+            res = _steer_cell(setup, target, rho, name, tol=tol, max_outer=max_outer)
             rows.append(
                 (tid, rho, res.endpoint_error, res.control_energy, res.outer_iterations)
             )

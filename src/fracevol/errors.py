@@ -29,9 +29,9 @@ class ConfigError(ValueError):
 class AdmissibilityError(ValueError):
     """The nonlocal condition violates the smallness requirement.
 
-    The inverse (I - sum_k c_k T(t_k))^{-1} is only constructed when
-    sum_k |c_k| * M_T < 1.  ``margin`` records 1 - sum_k |c_k| * M_T,
-    which is <= 0 whenever this error is raised.
+    The flow's sup is 1, so the inverse (I - sum_k c_k T(t_k))^{-1} is
+    only constructed when sum_k |c_k| < 1.  ``margin`` records
+    1 - sum_k |c_k|, which is <= 0 whenever this error is raised.
     """
 
     def __init__(self, margin: float, message: str | None = None):
@@ -39,7 +39,7 @@ class AdmissibilityError(ValueError):
         if message is None:
             message = (
                 "nonlocal condition inadmissible: margin "
-                f"1 - M_T * sum|c_k| = {self.margin:.6g} is not positive"
+                f"1 - sum|c_k| = {self.margin:.6g} is not positive"
             )
         super().__init__(message)
 

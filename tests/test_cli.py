@@ -60,6 +60,28 @@ targets = 0.05 0.01
 rho = 0.1 0.001
 """
 
+DIVERGING_STEER = """
+[model]
+rule = dirichlet
+n_modes = 4
+
+[problem]
+alpha = 0.75
+horizon = 1
+coupling_weights = 0.2 0.1
+coupling_times = 0.3 0.6
+kappa = 1
+nonlinearity = gains
+gains = 1.5 1.5 1.5 1.5
+
+[grid]
+n_steps = 128
+
+[experiment]
+targets = 0.1 0.05 0.02 0.01
+rho = 0.01 1e-06
+"""
+
 
 def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
@@ -527,6 +549,47 @@ def test_simulate_huge_source_fails_with_one_line_and_no_warning(tmp_path, forci
     assert out.returncode == 7
     assert out.stderr.splitlines() == [line]
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_steer_diverging_sweep_exits_4_naming_its_cell(tmp_path):
+    # a source of gain 1.5 in every mode: the passes of the first cell grow
+    cfg = tmp_path / "diverge.ini"
+    cfg.write_text(DIVERGING_STEER)
+    out = run_cli("steer", "--config", str(cfg), "--out", str(tmp_path / "s"))
+    assert out.returncode == 4
+    (line,) = out.stderr.splitlines()
+    assert line.startswith(
+        "no convergence: target 0, rho 0.01: steering pass diverged: "
+        "10 consecutive growing updates (iterations=11, "
+    )
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_demo_runs_keep_their_work(tmp_path, monkeypatch, capsys):
+    # what "same behaviour" counts: Picard iterations per solve, solves, and
+    # steering passes per cell on the demo configs, in-process
+    from fracevol import cli
+    from fracevol.greens import ResponseAssembly
+
+    picard, iterations = ResponseAssembly._picard, []
+
+    def counted(self, *args, **kwargs):
+        traj, report = picard(self, *args, **kwargs)
+        iterations.append(report.iterations)
+        return traj, report
+
+    monkeypatch.setattr(ResponseAssembly, "_picard", counted)
+    configs = REPO / "demos" / "configs"
+    heat = ["--config", str(configs / "demo_heat.ini"), "--out", str(tmp_path / "h")]
+    assert cli.main(["simulate", *heat]) == 0
+    assert iterations == [17]
+    iterations.clear()
+    steer = ["--config", str(configs / "demo_steer.ini"), "--out", str(tmp_path / "s")]
+    assert cli.main(["steer", *steer]) == 0
+    assert (len(iterations), sum(iterations)) == (88, 1250)
+    rows = (tmp_path / "s.table.txt").read_text().splitlines()[2:]
+    assert [int(row.split()[-1]) for row in rows] == [15, 17, 17, 17, 17]
+    assert capsys.readouterr().err == ""
 
 
 def test_steer_sweep_outputs_table(tmp_path):

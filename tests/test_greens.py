@@ -21,6 +21,8 @@ from fracevol.greens import (
     ProblemSpec,
     ResponseAssembly,
     Trajectory,
+    _fixed_point,
+    _sup_norm,
     _transient_run,
     build_O,
     check_H1,
@@ -318,7 +320,7 @@ def test_solve_validates_grid_and_signal():
 
 
 def test_solve_stops_at_the_rounding_floor():
-    # demo_heat's updates reach 1.1e-16 by iteration 35 and stay there; a
+    # demo_heat's updates reach 1.1e-16 by iteration 37 and stay there; a
     # tol below that is never met, so the solve stops instead of running on
     # to max_iter (200)
     cfg = load_config(str(Path(__file__).resolve().parent.parent / "demos/configs/demo_heat.ini"))
@@ -556,6 +558,36 @@ def test_sine_source_declared_constants_hold():
         assert np.linalg.norm(fu - fw) <= 1.0 * np.linalg.norm(u - w) + 1e-12
         assert np.linalg.norm(fu) <= math.sqrt(math.pi) / (t * t + 1.0) + 1e-12
     assert np.all(src.fn(0.3, np.zeros(8)) == 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_modes=st.sampled_from([8, 64]),
+    scales=st.tuples(*[st.sampled_from([0.0, 1e-6, 1e-2, 0.5, 4.0])] * 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_declared_lipschitz_constants_hold_in_the_solvers_norm(n_modes, scales, seed):
+    # per node, |f(t, u) - f(t, v)| <= L |u - v| in the mode vector's length,
+    # so _sup_norm, the norm every fixed point is sized in, obeys the same L;
+    # the slack of 8 eps is rounding (the sine source reaches 1 + 2 eps near
+    # u = v = 0, where it is the identity to first order, and so does a gain
+    # source whose gains share one magnitude)
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(0.0, 1.0, 33)
+    times[0] = 0.0
+    u, v = (scale * rng.standard_normal((33, n_modes)) for scale in scales)
+    gains = rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0], n_modes)
+    gains[0] *= rng.uniform(0.0, 1.0)
+
+    def lengths(x):
+        return np.sqrt(np.sum(x * x, axis=1))
+
+    moved = lengths(u - v) > 0.0
+    for src in (sine_collocation_source(n_modes), mode_gain_source(gains)):
+        bound = src.lipschitz_bound * (1.0 + 8 * np.finfo(float).eps)
+        diff = src.fn(times, u) - src.fn(times, v)
+        assert np.all(lengths(diff)[moved] <= bound * lengths(u - v)[moved])
+        assert _sup_norm(diff) <= bound * _sup_norm(u - v)
 
 
 def test_sine_source_rejects_thin_collocation():
@@ -826,6 +858,29 @@ def test_solve_stops_on_a_non_finite_iterate():
     ) as exc:
         solve_mild(prob, grid, raw_forcing=huge)
     assert exc.value.iterations == 1
+
+
+def test_sup_norm_is_the_largest_mode_vector_length_past_the_squared_overflow():
+    x = np.array([[3.0, 4.0], [1.0, -1.0]])
+    assert _sup_norm(x) == 5.0
+    # 1e200 squared overflows; the size itself does not
+    assert _sup_norm(1e200 * x) == pytest.approx(5e200, rel=4 * np.finfo(float).eps)
+    assert _sup_norm(np.full((3, 8), 1e200)) == pytest.approx(math.sqrt(8.0) * 1e200)
+    assert _sup_norm(np.array([[math.inf, 1.0]])) == math.inf
+    assert math.isnan(_sup_norm(np.array([[math.nan, 1.0]])))
+
+
+def test_fixed_point_sizes_finite_iterates_past_1e155_finitely():
+    # every update is 1e160 per entry: its squares overflow, its size does not
+    shape = (5, 4)
+    with pytest.raises(ConvergenceError, match="did not reach tolerance") as exc:
+        _fixed_point(lambda u: u + 1e160, np.zeros(shape), tol=1.0, max_iter=4, run_limit=10)
+    assert exc.value.trace == pytest.approx([2e160] * 4)
+    u, trace = _fixed_point(
+        lambda u: np.full(shape, 1e160), np.zeros(shape), tol=1.0, max_iter=4, run_limit=10
+    )
+    assert np.all(u == 1e160)
+    assert trace == [2e160, 0.0]
 
 
 def test_a_long_transient_growth_still_converges():

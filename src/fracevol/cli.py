@@ -4,7 +4,7 @@ Commands:
     ml <alpha> <beta> <z>        print one Mittag-Leffler value; any float
                                  spelling, -1e3 and -inf too, is a number
     simulate --config C --out P  solve; writes P.trajectory.txt, P.report.txt
-    steer    --config C --out P  rho sweep; writes P.table.txt
+    steer    --config C --out P  rho sweep; writes P.table.txt, failed cells too
     verify   --config C TRAJ     residual check of a trajectory file
 
 Exit codes: 0 success, 2 usage, config or file error, 3 inadmissible coupling,
@@ -137,7 +137,9 @@ def _cmd_steer(cfg: RunConfig, out_prefix: str) -> int:
     )
     write_reachability_table(out_prefix + ".table.txt", table)
     print("steer: %d sweep cells" % len(table.rows))
-    return EXIT_OK
+    for message in table.failures:
+        print(f"no convergence: {message}", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE if table.failures else EXIT_OK
 
 
 def _cmd_verify(cfg: RunConfig, trajectory_path: str) -> int:

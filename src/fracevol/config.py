@@ -21,7 +21,7 @@ lists; semicolons separate vectors inside the targets list):
     [grid]
     n_steps = <int >= 1>
 
-    [solver]                         optional section
+    [solver]                         optional section; steer reads none of it
     tol = <tolerance>                Picard stop: the update's sup norm
     max_iter = <budget>
     verify_equation_tol = <tolerance>

@@ -20,7 +20,7 @@ from .constants import (
     STEER_MAX_OUTER_DEFAULT,
     STEER_TOL_DEFAULT,
 )
-from .errors import DomainError, UnsupportedRegimeError
+from .errors import ConvergenceError, DomainError, UnsupportedRegimeError
 from .fraccalc import SampledFn, TimeGrid
 from .greens import (
     _DIVERGENCE_MARGIN,
@@ -79,6 +79,7 @@ class ReachabilityTable:
 
     rows: tuple[tuple[int, float, float, float, int], ...]
     targets: tuple[np.ndarray, ...] = field(repr=False)
+    failures: tuple[str, ...] = ()  # the message of each cell whose row has nan error and energy
 
 
 def trapezoid_weights(grid: TimeGrid) -> np.ndarray:
@@ -135,13 +136,10 @@ def regularized_W(
     The identity share (1/n) N u bypasses the response quadrature, so the
     output only satisfies the pinning identity up to O(1/n); the report's
     nonlocal_residual states the honest interpolated gap.  Runs solve_mild's
-    Picard solve (ResponseAssembly._picard) with that share in each step.
+    Picard solve (ResponseAssembly.solve) with that share in each step.
     """
-    if int(n) != n or n < 1:
-        raise DomainError("n must be a positive integer")
     base = _forcing_base(problem, mu.grid, None, mu)
-    asm = ResponseAssembly(problem, mu.grid)
-    return asm._picard(base, tol=tol, max_iter=max_iter, n=int(n))
+    return ResponseAssembly(problem, mu.grid).solve(base, tol=tol, max_iter=max_iter, n=n)
 
 
 def _steering_setup(problem: ProblemSpec, grid: TimeGrid):
@@ -189,23 +187,26 @@ def steer(
     then the semilinear problem is re-solved under that control.  The
     passes run on greens._fixed_point, so they stop once the sup-norm
     change of the trajectory is <= tol, or fail by its rules (10 growing
-    updates in a row is divergence), as Picard steps do.  Solves stop at
-    SOLVE_TOL_DEFAULT and share one assembly.
+    updates in a row is divergence), as Picard steps do.  The solves share
+    one assembly and keep the SOLVE_*_DEFAULT stops; [solver] is not read.
     """
-    target = _check_target(problem, target)
-    if not (np.isfinite(rho) and rho > 0.0):
-        raise DomainError("rho must be positive")
-    if max_outer < 1:
-        raise DomainError("max_outer must be positive")
-    _check_tol(tol)
+    (target,), (rho,) = _check_steering(problem, [target], [rho], tol, max_outer)
     return _steer_cell(_steering_setup(problem, grid), target, rho, tol=tol, max_outer=max_outer)
 
 
-def _check_target(problem: ProblemSpec, target) -> np.ndarray:
-    target = np.asarray(target, dtype=float)
-    if target.shape != (problem.n_modes,) or not np.all(np.isfinite(target)):
+def _check_steering(problem: ProblemSpec, targets, rhos, tol: float, max_outer: int):
+    """(targets as arrays, rhos as floats) of a sweep, or DomainError."""
+    targets = [np.asarray(target, dtype=float) for target in targets]
+    if not all(t.shape == (problem.n_modes,) and np.isfinite(t).all() for t in targets):
         raise DomainError("target must be a finite mode vector")
-    return target
+    rhos = [float(r) for r in rhos]
+    ladder = [math.inf, *rhos, 0.0]  # inf > rhos[0] > ... > rhos[-1] > 0
+    if len(ladder) < 3 or not all(a > b for a, b in zip(ladder, ladder[1:])):
+        raise DomainError("rhos must be finite, positive and strictly decreasing")
+    _check_tol(tol)
+    if max_outer < 1:
+        raise DomainError("max_outer must be positive")
+    return targets, rhos
 
 
 def _steer_cell(
@@ -226,24 +227,23 @@ def _steer_cell(
     asm, rows, scaled, gamma_modes = setup
     problem, grid = asm.problem, asm.grid
     omega = trapezoid_weights(grid)
-    signal = v = None
+    v = None
 
     def step(states: np.ndarray) -> np.ndarray:
-        nonlocal signal, v
+        nonlocal v
         source = _eval_source(problem, grid.nodes, states)
         source_endpoint = np.einsum("mj,jm->m", rows, source)
         mismatch = (target - source_endpoint) / (rho + gamma_modes)
         v = (scaled / omega[None, :]) * mismatch[:, None]  # (modes, nodes)
-        signal = ControlSignal(grid, v.T.copy())
-        return asm.solve(signal)[0].states
+        return asm.solve(v.T * problem.control_gains[None, :])[0].states
 
-    start = asm.solve()[0].states
+    start = asm.solve(np.zeros((grid.n_steps + 1, problem.n_modes)))[0].states
     states, trace = _fixed_point(
         step, start, tol=tol, max_iter=max_outer, run_limit=_DIVERGENCE_MARGIN, name=name
     )
     err = float(np.linalg.norm(states[-1] - target))
     return SteeringResult(
-        control=signal,
+        control=ControlSignal(grid, v.T),
         endpoint=states[-1],
         target=target,
         endpoint_error=err,
@@ -265,30 +265,27 @@ def reachability_experiment(
 ) -> ReachabilityTable:
     """Steer toward each target across the regularization sweep.
 
-    Every (target, rho) cell runs ``steer``'s loop on one shared
-    assembly, endpoint rows and Gramian.
+    Every (target, rho) cell runs ``steer``'s loop, [solver] unread as
+    there, on one shared assembly, endpoint rows and Gramian.  A
+    cell that does not converge gets nan error and energy, its pass count
+    and its message in failures; any other error ends the sweep.
     """
-    rhos = [float(r) for r in rhos]
-    if not rhos or not all(math.isfinite(r) and r > 0.0 for r in rhos):
-        raise DomainError("rhos must be positive")
-    if any(b >= a for a, b in zip(rhos, rhos[1:])):
-        raise DomainError("rhos must be strictly decreasing")
-    if max_outer < 1:
-        raise DomainError("max_outer must be positive")
-    _check_tol(tol)
-    kept = [_check_target(problem, target) for target in targets]
-    if not kept:
+    targets, rhos = _check_steering(problem, targets, rhos, tol, max_outer)
+    if not targets:
         return ReachabilityTable(rows=(), targets=())
     setup = _steering_setup(problem, grid)
-    rows: list[tuple[int, float, float, float, int]] = []
-    for tid, target in enumerate(kept):
+    rows, failures = [], []
+    for tid, target in enumerate(targets):
         for rho in rhos:
             name = f"target {tid}, rho {rho!r}: steering pass"
-            res = _steer_cell(setup, target, rho, name, tol=tol, max_outer=max_outer)
-            rows.append(
-                (tid, rho, res.endpoint_error, res.control_energy, res.outer_iterations)
-            )
-    return ReachabilityTable(rows=tuple(rows), targets=tuple(kept))
+            try:
+                res = _steer_cell(setup, target, rho, name, tol=tol, max_outer=max_outer)
+                cell = (res.endpoint_error, res.control_energy, res.outer_iterations)
+            except ConvergenceError as exc:
+                cell = (math.nan, math.nan, exc.iterations)
+                failures.append(str(exc))
+            rows.append((tid, rho, *cell))
+    return ReachabilityTable(rows=tuple(rows), targets=tuple(targets), failures=tuple(failures))
 
 
 def operator_norm_estimate(problem: ProblemSpec, grid: TimeGrid) -> float:

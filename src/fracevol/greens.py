@@ -172,6 +172,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """nonlocal_residual: for solve_mild, the pinning identity under the solver's
+    quadrature, rounding by construction as u(0) = o * (P . F), so verify's
+    interpolated gap is the independent check; for regularized_W, that gap.
+    control_sup: _sup_norm of the whole forcing base, so in simulate the steady forcing's.
+    """
+
     iterations: int
     final_residual: float
     nonlocal_residual: float
@@ -394,9 +400,9 @@ class ResponseAssembly:
     row i plus decay_nodes[i] * o * P (rows(i); the endpoint rows are row
     n).  Once needed, it also holds the source at the zero state (the
     first Picard step) and the run limit per (max_iter, identity share).
-    Build it once per (problem, grid): its _picard runs every Picard solve
-    (solve_mild, control.regularized_W) and rows gives the steering
-    functionals under exactly the same discretization.
+    Build it once per (problem, grid): its solve runs every Picard solve
+    (solve_mild, control.regularized_W, each steering pass) and rows gives
+    the steering functionals under exactly the same discretization.
     """
 
     def __init__(self, problem: ProblemSpec, grid: TimeGrid):
@@ -464,26 +470,24 @@ class ResponseAssembly:
 
     def solve(
         self,
-        control: SampledFn | None = None,
+        base: np.ndarray,
         *,
-        raw_forcing: SampledFn | None = None,
         tol: float = SOLVE_TOL_DEFAULT,
         max_iter: int = SOLVE_MAX_ITER_DEFAULT,
-    ) -> tuple[Trajectory, SolveReport]:
-        """solve_mild on this assembly's (problem, grid)."""
-        base = _forcing_base(self.problem, self.grid, control, raw_forcing)
-        return self._picard(base, tol=tol, max_iter=max_iter)
-
-    def _picard(
-        self, base: np.ndarray, *, tol: float, max_iter: int, n: int | None = None
+        n: int | None = None,
     ) -> tuple[Trajectory, SolveReport]:
         """Every Picard solve: u <- response(base + f(u)), plus f(u) / n when n is set.
 
-        base is the sampled forcing.  Without n this is solve_mild, whose
-        pinning gap is taken under the solver's quadrature; with n it is
-        control.regularized_W, whose gap is interpolated (_pinning_gap).
+        base is the sampled forcing, a finite (n_nodes, n_modes) array, and n a
+        positive integer, else DomainError.  Without n this is solve_mild; with
+        n, control.regularized_W (SolveReport says how their pinning gaps differ).
         """
         problem, grid = self.problem, self.grid
+        shape = (grid.n_steps + 1, problem.n_modes)
+        if np.shape(base) != shape or not np.isfinite(base).all():
+            raise DomainError(f"base must be a finite {shape} array, got shape {np.shape(base)}")
+        if n is not None and (int(n) != n or n < 1):
+            raise DomainError("n must be a positive integer")
         forcing = base
         zero = np.zeros(base.shape)
 
@@ -573,9 +577,8 @@ def solve_mild(
     source turned non-finite.  To solve repeatedly on one grid, build a
     ResponseAssembly once and call its solve.
     """
-    return ResponseAssembly(problem, grid).solve(
-        control, raw_forcing=raw_forcing, tol=tol, max_iter=max_iter
-    )
+    base = _forcing_base(problem, grid, control, raw_forcing)
+    return ResponseAssembly(problem, grid).solve(base, tol=tol, max_iter=max_iter)
 
 
 def _pinning_gap(problem: ProblemSpec, states: np.ndarray, grid: TimeGrid) -> float:

@@ -125,6 +125,7 @@ def write_reachability_table(path: str, table: ReachabilityTable) -> None:
     for tid, rho, err, energy, outers in table.rows:
         floats = " ".join(map(format_float, (rho, err, energy)))
         lines.append(f"{tid} {floats} {outers}")
+    lines += [f"# failed: {message}" for message in table.failures]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

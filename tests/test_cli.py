@@ -205,14 +205,24 @@ def test_src_has_no_np_convolve():
 def test_src_has_one_iteration_driver():
     # every fixed-point loop in the package, steering passes included, runs
     # through greens._fixed_point, so its fail-fast rules cover them all; a
-    # loop that raises its own ConvergenceError is a second driver
-    raisers, outer_loops = set(), []
+    # loop that raises its own ConvergenceError is a second driver.  Only the
+    # one Picard solve (ResponseAssembly.solve) and a steering cell call it
+    raisers, outer_loops, callers = set(), [], set()
     for path in sorted((REPO / "src" / "fracevol").rglob("*.py")):
         text = path.read_text()
+        tree = ast.parse(text)
         funcs = [
-            node for node in ast.walk(ast.parse(text))
+            node for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
+        for scope in ast.walk(tree):
+            for func in ast.iter_child_nodes(scope):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                owner = f"{scope.name}.{func.name}" if isinstance(scope, ast.ClassDef) else func.name
+                calls = [c for c in ast.walk(func) if isinstance(c, ast.Call)]
+                if any(getattr(c.func, "id", None) == "_fixed_point" for c in calls):
+                    callers.add((path.name, owner))
         for i, line in enumerate(text.splitlines(), start=1):
             if "for outer in range" in line:
                 outer_loops.append(f"{path.name}:{i}")
@@ -222,6 +232,7 @@ def test_src_has_one_iteration_driver():
                 raisers.add((path.name, innermost))
     assert raisers == {("greens.py", "_fixed_point")}
     assert not outer_loops, outer_loops
+    assert callers == {("greens.py", "ResponseAssembly.solve"), ("control.py", "_steer_cell")}
 
 
 # public package functions that nothing outside the tests calls, kept on purpose
@@ -552,17 +563,40 @@ def test_simulate_huge_source_fails_with_one_line_and_no_warning(tmp_path, forci
 
 
 def test_steer_diverging_sweep_exits_4_naming_its_cell(tmp_path):
-    # a source of gain 1.5 in every mode: the passes of the first cell grow
+    # a source of gain 1.5 in every mode: the passes of both cells grow; the
+    # sweep runs every cell, writes its table and names each failed cell
     cfg = tmp_path / "diverge.ini"
     cfg.write_text(DIVERGING_STEER)
     out = run_cli("steer", "--config", str(cfg), "--out", str(tmp_path / "s"))
     assert out.returncode == 4
-    (line,) = out.stderr.splitlines()
-    assert line.startswith(
+    first, second = out.stderr.splitlines()
+    assert first.startswith(
         "no convergence: target 0, rho 0.01: steering pass diverged: "
         "10 consecutive growing updates (iterations=11, "
     )
-    assert list(tmp_path.iterdir()) == [cfg]
+    assert second.startswith("no convergence: target 0, rho 1e-06: steering pass diverged: ")
+    lines = (tmp_path / "s.table.txt").read_text().splitlines()
+    assert [line.split()[2:4] for line in lines[2:4]] == [["nan", "nan"]] * 2
+    assert lines[4:] == [
+        "# failed: " + line.removeprefix("no convergence: ") for line in (first, second)
+    ]
+
+
+def test_steer_sweep_keeps_the_cells_around_a_failed_one(tmp_path):
+    # rho 1 converges in 25 passes, rho 0.01 diverges after 11: both rows
+    # are written, the failed one with nan error and energy, and exit is 4
+    cfg = tmp_path / "mixed.ini"
+    cfg.write_text(DIVERGING_STEER.replace("rho = 0.01 1e-06", "rho = 1 0.01"))
+    out = run_cli("steer", "--config", str(cfg), "--out", str(tmp_path / "s"))
+    assert out.returncode == 4
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("no convergence: target 0, rho 0.01: steering pass diverged: ")
+    lines = (tmp_path / "s.table.txt").read_text().splitlines()
+    converged, failed = ([float(x) for x in row.split()] for row in lines[2:4])
+    assert converged[:2] == [0, 1.0] and converged[4] == 25
+    assert 0.0 < converged[2] < 0.1 and 0.0 < converged[3] < np.inf
+    assert failed[:2] == [0, 0.01] and np.isnan(failed[2:4]).all() and failed[4] == 11
+    assert lines[4:] == ["# failed: " + line.removeprefix("no convergence: ")]
 
 
 def test_demo_runs_keep_their_work(tmp_path, monkeypatch, capsys):
@@ -571,14 +605,14 @@ def test_demo_runs_keep_their_work(tmp_path, monkeypatch, capsys):
     from fracevol import cli
     from fracevol.greens import ResponseAssembly
 
-    picard, iterations = ResponseAssembly._picard, []
+    solve, iterations = ResponseAssembly.solve, []
 
     def counted(self, *args, **kwargs):
-        traj, report = picard(self, *args, **kwargs)
+        traj, report = solve(self, *args, **kwargs)
         iterations.append(report.iterations)
         return traj, report
 
-    monkeypatch.setattr(ResponseAssembly, "_picard", counted)
+    monkeypatch.setattr(ResponseAssembly, "solve", counted)
     configs = REPO / "demos" / "configs"
     heat = ["--config", str(configs / "demo_heat.ini"), "--out", str(tmp_path / "h")]
     assert cli.main(["simulate", *heat]) == 0

@@ -503,15 +503,22 @@ def gain_problem(gain):
 
 
 def test_steer_stops_a_diverging_sweep_after_ten_growing_passes():
-    # the pass updates grow by about 1.17 per pass; the sweep stops in its
-    # first cell, not after max_outer (50) passes
+    # the pass updates grow by about 1.17 per pass; each cell stops after
+    # 11 passes, not after max_outer (50), and the sweep records it and goes on
     grid = TimeGrid(1.0, 128)
     target = np.array([0.1, 0.05, 0.02, 0.01])
-    with pytest.raises(ConvergenceError) as exc:
-        reachability_experiment(gain_problem(1.5), grid, [target], [1e-2, 1e-6])
+    table = reachability_experiment(gain_problem(1.5), grid, [target], [1e-2, 1e-6])
+    (tid, rho, err, energy, passes), second = table.rows
+    assert (tid, rho, passes) == (0, 1e-2, 11) and math.isnan(err) and math.isnan(energy)
+    assert second[1] == 1e-6 and math.isnan(second[2])
+    assert len(table.failures) == 2
+    assert table.failures[0].startswith(
+        "target 0, rho 0.01: steering pass diverged: 10 consecutive growing updates"
+    )
+    # a lone steer call raises, with the growing trace
+    with pytest.raises(ConvergenceError, match="^steering pass diverged") as exc:
+        steer(gain_problem(1.5), grid, target, 1e-2)
     assert len(exc.value.trace) == 11
-    assert "steering pass diverged: 10 consecutive growing updates" in str(exc.value)
-    assert str(exc.value).startswith("target 0, rho 0.01: steering pass diverged")
     assert all(b > a for a, b in zip(exc.value.trace, exc.value.trace[1:]))
 
 

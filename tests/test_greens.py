@@ -756,10 +756,10 @@ def test_an_assembly_evaluates_the_zero_state_source_once():
     base = 0.2 * np.ones((33, 4))
     iterations = []
     for solve in (
-        lambda: asm.solve(),
-        lambda: asm.solve(raw_forcing=SampledFn(grid, base)),
-        lambda: asm._picard(base, tol=1e-10, max_iter=200, n=4),
-        lambda: asm.solve(raw_forcing=SampledFn(grid, -base)),
+        lambda: asm.solve(np.zeros((33, 4))),
+        lambda: asm.solve(base),
+        lambda: asm.solve(base, tol=1e-10, max_iter=200, n=4),
+        lambda: asm.solve(-base),
     ):
         iterations.append(solve()[1].iterations)
         assert len(calls) == sum(iterations) - (len(iterations) - 1)
@@ -770,9 +770,8 @@ def test_an_assembly_evaluates_the_zero_state_source_once():
         for max_iter, share in ((SOLVE_MAX_ITER_DEFAULT, 0.0), (200, 0.25))
     }
     # a fresh assembly gives the same bits as the one that reuses
-    forcing = SampledFn(grid, -base)
-    fresh, _ = ResponseAssembly(asm.problem, grid).solve(raw_forcing=forcing)
-    np.testing.assert_array_equal(fresh.states, asm.solve(raw_forcing=forcing)[0].states)
+    fresh, _ = ResponseAssembly(asm.problem, grid).solve(-base)
+    np.testing.assert_array_equal(fresh.states, asm.solve(-base)[0].states)
 
 
 def test_a_source_failing_at_the_zero_state_fails_every_solve():
@@ -788,8 +787,31 @@ def test_a_source_failing_at_the_zero_state_fails_every_solve():
     asm = ResponseAssembly(_broken_source_problem(nan_at_zero), grid)
     for k in range(1, 4):
         with pytest.raises(DomainError, match="^Picard iteration 1: " + NAN_MESSAGE):
-            asm.solve()
+            asm.solve(np.zeros((17, 4)))
         assert len(calls) == k
+
+
+@pytest.mark.parametrize(
+    "base, n, message",
+    [
+        (np.zeros((17, 3)), None, r"base must be a finite \(17, 4\) array, got shape \(17, 3\)"),
+        (np.zeros(17), None, r"base must be a finite \(17, 4\) array, got shape \(17,\)"),
+        (np.full((17, 4), np.nan), None, r"base must be a finite \(17, 4\) array"),
+        (np.zeros((17, 4)), 0, "n must be a positive integer"),
+        (np.zeros((17, 4)), 2.5, "n must be a positive integer"),
+    ],
+)
+def test_assembly_solve_rejects_a_bad_base_or_n_before_any_source_call(base, n, message):
+    calls = []
+
+    def counting(t, u):
+        calls.append(t)
+        return 0.1 * u
+
+    asm = ResponseAssembly(_broken_source_problem(counting), TimeGrid(1.0, 16))
+    with pytest.raises(DomainError, match=message):
+        asm.solve(base, n=n)
+    assert calls == []
 
 
 def test_verify_fails_fast_on_a_bad_source():

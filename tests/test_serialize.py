@@ -1,5 +1,6 @@
 """Round-trip and format tests for the plain-text artifacts."""
 
+import math
 import os
 import tempfile
 
@@ -156,6 +157,19 @@ def test_reachability_table_format(tmp_path):
     assert lines[1].startswith("# columns target_index rho")
     assert lines[2].split() == ["0", "0.10000000000000001", "0.050000000000000003", "0.29999999999999999", "2"]
     assert len(lines) == 4
+
+
+def test_reachability_table_names_each_failed_cell_after_the_rows(tmp_path):
+    table = ReachabilityTable(
+        rows=((0, 0.1, 0.05, 0.3, 2), (0, 0.01, math.nan, math.nan, 11)),
+        targets=(np.zeros(1),),
+        failures=("target 0, rho 0.01: steering pass diverged",),
+    )
+    path = str(tmp_path / "tab.txt")
+    write_reachability_table(path, table)
+    lines = open(path).read().splitlines()
+    assert lines[3].split() == ["0", "0.01", "nan", "nan", "11"]
+    assert lines[4:] == ["# failed: target 0, rho 0.01: steering pass diverged"]
 
 
 def test_render_verification_verdicts():

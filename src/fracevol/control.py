@@ -185,10 +185,14 @@ def steer(
     contribution of the current trajectory frozen: per mode the control is
     the endpoint row scaled by (target - source endpoint) / (rho + Gamma),
     then the semilinear problem is re-solved under that control.  The
-    passes run on greens._fixed_point, so they stop once the sup-norm
-    change of the trajectory is <= tol, or fail by its rules (10 growing
-    updates in a row is divergence), as Picard steps do.  The solves share
-    one assembly and keep the SOLVE_*_DEFAULT stops; [solver] is not read.
+    passes run on greens._fixed_point with mix set: from the third pass on,
+    the trajectory a pass starts from is the depth-1 Anderson (secant)
+    combination of the last two passes' trajectories, which reaches the same
+    fixed point in fewer passes.  They stop once a pass changes the
+    trajectory it starts from by <= tol in the sup norm, or fail by the
+    driver's rules (10 growing updates in a row is divergence), as Picard
+    steps do; outer_iterations counts passes.  The solves share one
+    assembly and keep the SOLVE_*_DEFAULT stops; [solver] is not read.
     """
     (target,), (rho,) = _check_steering(problem, [target], [rho], tol, max_outer)
     return _steer_cell(_steering_setup(problem, grid), target, rho, tol=tol, max_outer=max_outer)
@@ -210,19 +214,16 @@ def _check_steering(problem: ProblemSpec, targets, rhos, tol: float, max_outer: 
 
 
 def _steer_cell(
-    setup,
-    target: np.ndarray,
-    rho: float,
-    name: str = "steering pass",
-    *,
-    tol: float,
-    max_outer: int,
+    setup, target: np.ndarray, rho: float, *, tol: float, max_outer: int
 ) -> SteeringResult:
-    """``steer``'s passes on a prepared ``_steering_setup``, as steps of _fixed_point.
+    """``steer``'s passes on a prepared ``_steering_setup``, as mixed steps of _fixed_point.
 
-    A pass maps the last solve's states (first the uncontrolled ones) to
-    the next; zero gains zero the control, so the first pass repeats the
-    uncontrolled solve and ends the cell; name labels the passes in messages.
+    A pass maps states (the uncontrolled solve's, then the first pass's,
+    then the driver's Anderson mix of the last two passes) to the states
+    solved under the control they give.  The driver returns the last
+    pass's states, so v is the control that produced them.  Zero gains
+    zero the control, so the first pass repeats the uncontrolled solve and
+    ends the cell.
     """
     asm, rows, scaled, gamma_modes = setup
     problem, grid = asm.problem, asm.grid
@@ -239,7 +240,8 @@ def _steer_cell(
 
     start = asm.solve(np.zeros((grid.n_steps + 1, problem.n_modes)))[0].states
     states, trace = _fixed_point(
-        step, start, tol=tol, max_iter=max_outer, run_limit=_DIVERGENCE_MARGIN, name=name
+        step, start, tol=tol, max_iter=max_outer, run_limit=_DIVERGENCE_MARGIN,
+        name="steering pass", mix=True,
     )
     err = float(np.linalg.norm(states[-1] - target))
     return SteeringResult(
@@ -267,8 +269,10 @@ def reachability_experiment(
 
     Every (target, rho) cell runs ``steer``'s loop, [solver] unread as
     there, on one shared assembly, endpoint rows and Gramian.  A
-    cell that does not converge gets nan error and energy, its pass count
-    and its message in failures; any other error ends the sweep.
+    cell that does not converge, in its passes or in a Picard solve, gets
+    nan error and energy, the failed iteration's count and its message,
+    prefixed "target i, rho r: ", in failures.  A DomainError ends the
+    sweep with the same prefix; any other error ends it as raised.
     """
     targets, rhos = _check_steering(problem, targets, rhos, tol, max_outer)
     if not targets:
@@ -277,13 +281,15 @@ def reachability_experiment(
     rows, failures = [], []
     for tid, target in enumerate(targets):
         for rho in rhos:
-            name = f"target {tid}, rho {rho!r}: steering pass"
+            label = f"target {tid}, rho {rho!r}: "
             try:
-                res = _steer_cell(setup, target, rho, name, tol=tol, max_outer=max_outer)
+                res = _steer_cell(setup, target, rho, tol=tol, max_outer=max_outer)
                 cell = (res.endpoint_error, res.control_energy, res.outer_iterations)
             except ConvergenceError as exc:
                 cell = (math.nan, math.nan, exc.iterations)
-                failures.append(str(exc))
+                failures.append(label + str(exc))
+            except DomainError as exc:
+                raise type(exc)(label + str(exc)) from exc
             rows.append((tid, rho, *cell))
     return ReachabilityTable(rows=tuple(rows), targets=tuple(targets), failures=tuple(failures))
 

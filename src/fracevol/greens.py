@@ -332,6 +332,18 @@ def _sup_norm(x: np.ndarray) -> float:
     return size
 
 
+def _secant(u: np.ndarray, r: np.ndarray, u_prev: np.ndarray, r_prev: np.ndarray) -> np.ndarray:
+    """The depth-1 Anderson iterate of _fixed_point from the last two (step, update) pairs.
+
+    A function, so that its temporaries are freed before the next step runs.
+    """
+    with np.errstate(all="ignore"):
+        dr = r - r_prev
+        dd = float(np.vdot(dr, dr))
+        g = float(np.vdot(dr, r)) / dd if dd > 0.0 else 0.0
+    return u - g * (u - u_prev) if math.isfinite(g) else u
+
+
 def _fixed_point(
     step: Callable[[np.ndarray], np.ndarray],
     start: np.ndarray,
@@ -340,34 +352,41 @@ def _fixed_point(
     max_iter: int,
     run_limit: int,
     name: str = "Picard iteration",
+    mix: bool = False,
 ) -> tuple[np.ndarray, list[float]]:
-    """Iterate u <- step(u) from start until the update's _sup_norm is <= tol.
+    """Iterate step from start until the update's _sup_norm is <= tol.
 
-    name is what messages call one step.  Returns the last iterate and the
-    update history.  Raises ConvergenceError with both when max_iter
+    The update of step k is r_k = step(x_k) - x_k; the run returns step(x_k)
+    once _sup_norm(r_k) <= tol.  Without mix the next iterate is step(x_k).
+    With mix (steering passes only) it is the depth-1 Anderson (secant) step
+    of Walker & Ni (2011), step(x_k) - g (step(x_k) - step(x_{k-1})) with
+    g = <dr, r_k> / <dr, dr> and dr = r_k - r_{k-1}, or step(x_k) when dr = 0
+    or g overflows: the same fixed point in fewer steps.
+    name is what messages call one step.  Returns the last step's value and
+    the update history.  Raises ConvergenceError with both when max_iter
     updates do not get there, and fails fast when they never will: on a
     non-finite iterate, after run_limit consecutive growing updates (see
     _transient_run), or when an update is no smaller than the one before
-    and at most 8 eps times the iterate's _sup_norm (the rounding floor).
+    and at most 8 eps times the step's _sup_norm (the rounding floor).
     A DomainError from the step comes back prefixed with its name and
     number, of the same type.
     """
     if max_iter < 1:
         raise DomainError("max_iter must be positive")
     _check_tol(tol)
-    u = start
+    x = start
     diffs: list[float] = []
     growing = 0
+    last = ()  # (step(x_{k-1}), r_{k-1}) when mixing
     for k in range(1, max_iter + 1):
         with np.errstate(all="ignore"):  # overflow fails a check, not as a warning
             try:
-                u_next = step(u)
+                u = step(x)
             except DomainError as exc:
                 raise type(exc)(f"{name} {k}: {exc}") from exc
-            diff = _sup_norm(u_next - u)
+            diff = _sup_norm(u - x)
         growing = growing + 1 if diffs and diff > diffs[-1] else 0
         diffs.append(diff)
-        u = u_next
         if diff <= tol:
             return u, diffs
         if not math.isfinite(diff):
@@ -379,6 +398,11 @@ def _fixed_point(
         if len(diffs) > 1 and diffs[-2] <= diff <= _ROUNDING_FLOOR * _sup_norm(u):
             message = f"{name} stalled at the rounding floor: update {diff:.3e} > tol {tol:.3e}"
             break
+        if mix:  # only a mixed run keeps updates alive across steps
+            r = u - x
+            x, last = (_secant(u, r, *last) if last else u), (u, r)
+        else:
+            x = u
     else:
         message = f"{name} did not reach tolerance"
     raise ConvergenceError(

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fracevol import control
+from fracevol.config import build_grid, build_problem, load_config
 from fracevol.control import (
     ControlSignal,
     apply_K,
@@ -27,8 +30,11 @@ from fracevol.fraccalc import SampledFn, TimeGrid
 from fracevol.greens import (
     NonlocalSpec,
     ProblemSpec,
+    ResponseAssembly,
     Trajectory,
     _eval_source,
+    _fixed_point,
+    _sup_norm,
     mode_gain_source,
     sine_collocation_source,
     solve_mild,
@@ -503,23 +509,87 @@ def gain_problem(gain):
 
 
 def test_steer_stops_a_diverging_sweep_after_ten_growing_passes():
-    # the pass updates grow by about 1.17 per pass; each cell stops after
-    # 11 passes, not after max_outer (50), and the sweep records it and goes on
+    # mixed passes converge at gain 1.5 (11 and 12 passes), so a sweep here
+    # fails in its Picard solves: at gain 3 the solve of every cell's first
+    # pass diverges, and the sweep records each cell, named, and goes on
     grid = TimeGrid(1.0, 128)
     target = np.array([0.1, 0.05, 0.02, 0.01])
-    table = reachability_experiment(gain_problem(1.5), grid, [target], [1e-2, 1e-6])
-    (tid, rho, err, energy, passes), second = table.rows
-    assert (tid, rho, passes) == (0, 1e-2, 11) and math.isnan(err) and math.isnan(energy)
+    table = reachability_experiment(gain_problem(3.0), grid, [target], [1e-2, 1e-6])
+    (tid, rho, err, energy, _), second = table.rows
+    assert (tid, rho) == (0, 1e-2) and math.isnan(err) and math.isnan(energy)
     assert second[1] == 1e-6 and math.isnan(second[2])
     assert len(table.failures) == 2
     assert table.failures[0].startswith(
-        "target 0, rho 0.01: steering pass diverged: 10 consecutive growing updates"
+        "target 0, rho 0.01: Picard iteration diverged: 15 consecutive growing updates"
     )
-    # a lone steer call raises, with the growing trace
-    with pytest.raises(ConvergenceError, match="^steering pass diverged") as exc:
-        steer(gain_problem(1.5), grid, target, 1e-2)
-    assert len(exc.value.trace) == 11
+    assert table.failures[1].startswith("target 0, rho 1e-06: Picard iteration diverged: ")
+    # mixing sizes the same updates: a pass whose update doubles wherever
+    # it starts stops after 10 growing updates, 11 passes, not after 50
+    passes = []
+
+    def doubling(x):
+        passes.append(x)
+        return x + 2.0 ** len(passes)
+
+    with pytest.raises(ConvergenceError, match="^steering pass diverged: 10 consecutive") as exc:
+        _fixed_point(
+            doubling, np.zeros((3, 2)), tol=1e-9, max_iter=50, run_limit=10,
+            name="steering pass", mix=True,
+        )
+    assert len(exc.value.trace) == len(passes) == 11
     assert all(b > a for a, b in zip(exc.value.trace, exc.value.trace[1:]))
+
+
+def plain_passes(monkeypatch):
+    """Run steer's passes unmixed: x <- step(x), as before mixing."""
+    monkeypatch.setattr(
+        control, "_fixed_point", lambda *args, mix, **kwargs: _fixed_point(*args, **kwargs)
+    )
+
+
+def one_plain_pass(problem, grid, target, rho, states):
+    """steer's pass from states, written out: the Gramian control, then a solve."""
+    asm, rows, scaled, gamma_modes = control._steering_setup(problem, grid)
+    source = _eval_source(problem, grid.nodes, states)
+    mismatch = (target - np.einsum("mj,jm->m", rows, source)) / (rho + gamma_modes)
+    v = (scaled / trapezoid_weights(grid)[None, :]) * mismatch[:, None]
+    return asm.solve(v.T * problem.control_gains)[0].states
+
+
+def test_mixed_passes_reach_the_plain_passes_fixed_point_on_demo_steer(monkeypatch):
+    # 7 mixed passes per cell land within 3.2e-12 of plain passes run to
+    # 1e-13; plain passes at the default tol are 1.4e-10 away
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "demos/configs/demo_steer.ini"))
+    problem, grid = build_problem(cfg), build_grid(cfg)
+    targets = [np.array(t) for t in cfg.targets]
+    mixed = np.array(reachability_experiment(problem, grid, targets, cfg.rhos).rows)
+    plain_passes(monkeypatch)
+    tight = np.array(reachability_experiment(problem, grid, targets, cfg.rhos, tol=1e-13).rows)
+    assert list(mixed[:, 4]) == [7] * 5
+    assert np.abs(mixed[:, 2:4] - tight[:, 2:4]).max() <= 1e-11
+
+
+@pytest.mark.parametrize("gain,passes,plain_failure", [
+    (1.2, 11, "did not reach tolerance"),  # plain passes contract by 0.74
+    (2.0, 15, "diverged"),  # plain passes grow by about 2.7
+])
+def test_mixed_passes_converge_where_plain_passes_fail(monkeypatch, gain, passes, plain_failure):
+    grid = TimeGrid(1.0, 128)
+    target = np.array([0.1, 0.05, 0.02, 0.01])
+    problem, tol = gain_problem(gain), 1e-10
+    res = steer(problem, grid, target, 1e-2, tol=tol)
+    assert res.outer_iterations == passes
+    # the control returned is the one that produced the returned states,
+    # and those states are the plain pass map's fixed point: one more
+    # plain pass moves them by at most tol (at the default tol 1e-9, gain
+    # 2's pass moves them by 2.6e-9, its growth times the last update)
+    states = ResponseAssembly(problem, grid).solve(res.control.values * problem.control_gains)[0]
+    assert np.array_equal(states.states[-1], res.endpoint)
+    moved = one_plain_pass(problem, grid, target, 1e-2, states.states) - states.states
+    assert _sup_norm(moved) <= tol
+    plain_passes(monkeypatch)
+    with pytest.raises(ConvergenceError, match=f"^steering pass {plain_failure}"):
+        steer(problem, grid, target, 1e-2)
 
 
 def test_steer_names_the_pass_of_a_failing_source():

@@ -903,6 +903,37 @@ def test_fixed_point_sizes_finite_iterates_past_1e155_finitely():
     )
     assert np.all(u == 1e160)
     assert trace == [2e160, 0.0]
+    # mixed, the secant's inner products overflow; the driver takes plain steps
+    shifts = []
+
+    def growing(u):
+        shifts.append(1e160 * (len(shifts) + 1))
+        return u + shifts[-1]
+
+    with pytest.raises(ConvergenceError, match="did not reach tolerance") as exc:
+        _fixed_point(growing, np.zeros(shape), tol=1.0, max_iter=4, run_limit=10, mix=True)
+    assert exc.value.trace == pytest.approx([2e160, 4e160, 6e160, 8e160])
+
+
+def test_mixed_fixed_point_lands_the_secant_step_and_returns_a_step_value():
+    # on an affine map the depth-1 Anderson (secant) step is the fixed point:
+    # x3 = g2 - gamma (g2 - g1) = 10 with gamma = -9; plain steps contract by 0.9
+    fed, made = [], []
+
+    def step(x):
+        fed.append(x)
+        made.append(0.9 * x + 1.0)
+        return made[-1]
+
+    u, trace = _fixed_point(
+        step, np.zeros((4, 2)), tol=1e-12, max_iter=10, run_limit=10, mix=True
+    )
+    assert len(trace) == 3 and trace[-1] <= 1e-12
+    assert fed[1] is made[0]  # no mix before two updates
+    assert np.allclose(fed[2], 10.0, rtol=0.0, atol=1e-13)
+    assert u is made[-1]  # what the step returned, not the mix
+    with pytest.raises(ConvergenceError, match="did not reach tolerance"):
+        _fixed_point(step, np.zeros((4, 2)), tol=1e-12, max_iter=10, run_limit=10)
 
 
 def test_a_long_transient_growth_still_converges():

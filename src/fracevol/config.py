@@ -63,6 +63,7 @@ from .greens import (
     mode_gain_source,
     sine_collocation_source,
 )
+from .serialize import format_float
 from .spectral import SpectralModel
 
 __all__ = [
@@ -104,10 +105,6 @@ class RunConfig:
     max_outer: int
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 class _Kind(NamedTuple):
     """How one kind of value is read from and written to the config text."""
 
@@ -143,11 +140,11 @@ def _word(*choices: str) -> _Kind:
     return _Kind(parse, ", ".join(choices[:-1]) + " or " + choices[-1], str)
 
 
-_FLOAT = _Kind(float, "a number", _fmt)
+_FLOAT = _Kind(float, "a number", format_float)
 _INT = _Kind(int, "an integer", str)
 _BUDGET = _Kind(_budget, "an integer >= 1", str)
-_TOL = _Kind(_tolerance, "a positive finite number", _fmt)
-_FLOATS = _Kind(_floats, "a number list", lambda vals: " ".join(map(_fmt, vals)))
+_TOL = _Kind(_tolerance, "a positive finite number", format_float)
+_FLOATS = _Kind(_floats, "a number list", lambda vals: " ".join(map(format_float, vals)))
 _VECTORS = _Kind(
     lambda raw: tuple(map(_floats, raw.split(";"))),
     "a ;-separated list of number lists",

@@ -10,7 +10,7 @@ rho * |target| / (rho + Gamma) to rounding, not merely to quadrature order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class ReachabilityTable:
     """Rows of (target_id, rho, endpoint_error, control_energy, outer_iterations)."""
 
     rows: tuple[tuple[int, float, float, float, int], ...]
-    targets: tuple[np.ndarray, ...] = field(repr=False)
     failures: tuple[str, ...] = ()  # the message of each cell whose row has nan error and energy
 
 
@@ -191,8 +190,10 @@ def steer(
     fixed point in fewer passes.  They stop once a pass changes the
     trajectory it starts from by <= tol in the sup norm, or fail by the
     driver's rules (10 growing updates in a row is divergence), as Picard
-    steps do; outer_iterations counts passes.  The solves share one
-    assembly and keep the SOLVE_*_DEFAULT stops; [solver] is not read.
+    steps do; outer_iterations counts passes.  tol bounds that pass's update,
+    from the mixed iterate; one more pass may move the returned states by the
+    plain map's growth times tol.  The solves share one assembly and keep
+    the SOLVE_*_DEFAULT stops; [solver] is not read.
     """
     (target,), (rho,) = _check_steering(problem, [target], [rho], tol, max_outer)
     return _steer_cell(_steering_setup(problem, grid), target, rho, tol=tol, max_outer=max_outer)
@@ -269,14 +270,14 @@ def reachability_experiment(
 
     Every (target, rho) cell runs ``steer``'s loop, [solver] unread as
     there, on one shared assembly, endpoint rows and Gramian.  A
-    cell that does not converge, in its passes or in a Picard solve, gets
-    nan error and energy, the failed iteration's count and its message,
-    prefixed "target i, rho r: ", in failures.  A DomainError ends the
-    sweep with the same prefix; any other error ends it as raised.
+    cell that does not converge, in its passes or in a pass's Picard solve,
+    gets nan error and energy, the passes run up to the failed one, and its
+    message, prefixed "target i, rho r: ", in failures.  A DomainError ends
+    the sweep with the same prefix; any other error ends it as raised.
     """
     targets, rhos = _check_steering(problem, targets, rhos, tol, max_outer)
     if not targets:
-        return ReachabilityTable(rows=(), targets=())
+        return ReachabilityTable(rows=())
     setup = _steering_setup(problem, grid)
     rows, failures = [], []
     for tid, target in enumerate(targets):
@@ -291,7 +292,7 @@ def reachability_experiment(
             except DomainError as exc:
                 raise type(exc)(label + str(exc)) from exc
             rows.append((tid, rho, *cell))
-    return ReachabilityTable(rows=tuple(rows), targets=tuple(targets), failures=tuple(failures))
+    return ReachabilityTable(rows=tuple(rows), failures=tuple(failures))
 
 
 def operator_norm_estimate(problem: ProblemSpec, grid: TimeGrid) -> float:

@@ -34,14 +34,12 @@ class AdmissibilityError(ValueError):
     1 - sum_k |c_k|, which is <= 0 whenever this error is raised.
     """
 
-    def __init__(self, margin: float, message: str | None = None):
+    def __init__(self, margin: float):
         self.margin = float(margin)
-        if message is None:
-            message = (
-                "nonlocal condition inadmissible: margin "
-                f"1 - sum|c_k| = {self.margin:.6g} is not positive"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"nonlocal condition inadmissible: margin 1 - sum|c_k| = {self.margin:.6g} "
+            "is not positive"
+        )
 
 
 class ConvergenceError(RuntimeError):
@@ -52,12 +50,11 @@ class ConvergenceError(RuntimeError):
     """
 
     def __init__(self, message: str, *, iterations: int, final_residual: float,
-                 contraction_estimate: float, trace: list[float] | None = None):
+                 contraction_estimate: float, trace: list[float]):
         self.iterations = int(iterations)
         self.final_residual = float(final_residual)
         self.contraction_estimate = float(contraction_estimate)
-        # per-iteration residual history, when the caller keeps one
-        self.trace = list(trace) if trace is not None else []
+        self.trace = list(trace)  # per-iteration residual history
         super().__init__(
             f"{message} (iterations={self.iterations}, "
             f"final_residual={self.final_residual:.3e}, "

@@ -85,10 +85,6 @@ class NonlocalSpec:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "horizon", float(self.horizon))
 
-    @property
-    def n_points(self) -> int:
-        return self.weights.size
-
 
 @dataclass(frozen=True)
 class Nonlinearity:
@@ -309,6 +305,14 @@ def _transient_run(problem: ProblemSpec, max_iter: int, *, identity_share: float
     return max_iter
 
 
+def _check_horizon(problem: ProblemSpec, grid: TimeGrid, what: str) -> None:
+    """DomainError naming both horizons unless grid's is problem's to 1e-12 relative."""
+    if not math.isclose(grid.horizon, problem.horizon, rel_tol=1e-12):
+        raise DomainError(
+            f"{what} horizon {grid.horizon!r} is not the problem's {problem.horizon!r}"
+        )
+
+
 def _check_tol(tol: float) -> None:
     """Reject a stopping tolerance that is not positive and finite.
 
@@ -368,8 +372,8 @@ def _fixed_point(
     non-finite iterate, after run_limit consecutive growing updates (see
     _transient_run), or when an update is no smaller than the one before
     and at most 8 eps times the step's _sup_norm (the rounding floor).
-    A DomainError from the step comes back prefixed with its name and
-    number, of the same type.
+    A DomainError or ConvergenceError from step k comes back prefixed
+    "<name> k: "; a ConvergenceError then counts k iterations, the rest the step's own.
     """
     if max_iter < 1:
         raise DomainError("max_iter must be positive")
@@ -382,8 +386,11 @@ def _fixed_point(
         with np.errstate(all="ignore"):  # overflow fails a check, not as a warning
             try:
                 u = step(x)
-            except DomainError as exc:
-                raise type(exc)(f"{name} {k}: {exc}") from exc
+            except (DomainError, ConvergenceError) as exc:
+                exc.args = (f"{name} {k}: {exc}",)
+                if isinstance(exc, ConvergenceError):
+                    exc.iterations = k
+                raise
             diff = _sup_norm(u - x)
         growing = growing + 1 if diffs and diff > diffs[-1] else 0
         diffs.append(diff)
@@ -430,8 +437,7 @@ class ResponseAssembly:
     """
 
     def __init__(self, problem: ProblemSpec, grid: TimeGrid):
-        if not math.isclose(grid.horizon, problem.horizon, rel_tol=1e-12):
-            raise DomainError("grid horizon must match the problem horizon")
+        _check_horizon(problem, grid, "grid")
         self.problem = problem
         self.grid = grid
         coupling = problem.coupling
@@ -574,10 +580,8 @@ def _forcing_base(
             raise DomainError(
                 f"{label} values must be ({n_nodes}, {problem.n_modes}), got {vals.shape}"
             )
-        if signal.grid.n_steps != grid.n_steps or not math.isclose(
-            signal.grid.horizon, grid.horizon, rel_tol=1e-12
-        ):
-            raise DomainError(f"{label} must live on the solve grid")
+        # the shape check fixed the signal's n_steps (SampledFn has a row per node)
+        _check_horizon(problem, signal.grid, label)
         base = base + (vals * gains[None, :] if gains is not None else vals)
     return base
 
@@ -630,9 +634,13 @@ def verify_mild(
     identity is re-checked by linear interpolation of the trajectory, so
     agreement is evidence about the trajectory, not about shared code.
     The rule's weights and kernel samples are its own; only the summation
-    over lags, fraccalc.LagConvolution, is shared with the solver.
+    over lags, fraccalc.LagConvolution, is shared with the solver.  A
+    horizon or mode count other than the problem's raises DomainError.
     """
     grid = traj.grid
+    _check_horizon(problem, grid, "trajectory")
+    if (m := traj.states.shape[1]) != problem.n_modes:
+        raise DomainError(f"trajectory mode count {m} is not the problem's {problem.n_modes}")
     n = grid.n_steps
     delta = grid.delta
     lams, alpha = problem.model.lambdas, problem.alpha
@@ -660,7 +668,7 @@ def verify_mild(
     )
 
 
-def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity:
+def sine_collocation_source(n_modes: int) -> Nonlinearity:
     """Bounded sine source evaluated by collocation in the sine basis.
 
     Represents u(x) on (0, pi) from its first n_modes coefficients,
@@ -669,17 +677,17 @@ def sine_collocation_source(n_modes: int, collocation: int = 64) -> Nonlinearity
     norms, so the declared constants are 1 and sqrt(pi), per node for the
     Euclidean length of the mode vector (_sup_norm's).
 
-    Both sine transforms (DST-I) are products with one precomputed
-    (collocation x collocation) sine matrix, of which a call uses the rows
-    of its modes; all rows of a call go through one product each way, so a
-    row's bits may differ by rounding with the number of rows around it.
+    Both sine transforms (DST-I) are products with one precomputed sine
+    matrix at 64 points (so at most 64 modes), of which a call uses the
+    rows of its modes; all rows of a call go through one product each way,
+    so a row's bits may differ by rounding with the number of rows around it.
     The decay factor is constant along a row, so it divides the n_modes
     result columns after the projection rather than the collocation points
     before it.
     """
-    if collocation < n_modes:
-        raise DomainError("collocation must be at least the mode count")
-    k = int(collocation)
+    k = 64
+    if n_modes > k:
+        raise DomainError(f"the sine source serves at most {k} modes, got {n_modes}")
     # sin(pi m j / (k + 1)) with the integer product reduced mod 2 (k + 1)
     # before scaling, so large products lose no argument bits; rows past
     # n_modes serve states with more coefficients, as the DST did

@@ -256,10 +256,10 @@ _DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _code_references(tree):
-    """(name, top-level def it sits in) for each name, attribute and string in code.
+    """(name, top-level def, innermost of it and its methods) for each name in code.
 
-    Docstrings and __all__ lists name things without using them, so they
-    are left out.
+    Names are names, attributes and strings.  Docstrings and __all__ lists
+    name things without using them, so they are left out.
     """
     docstrings = {
         id(node.body[0].value)
@@ -274,16 +274,26 @@ def _code_references(tree):
         ):
             continue
         owner = top.name if isinstance(top, _DEFS) else None
+        method = {
+            id(node): f"{owner}.{func.name}"
+            for func in (top.body if isinstance(top, ast.ClassDef) else ())
+            if isinstance(func, _DEFS)
+            for node in ast.walk(func)
+        }
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
-                refs.append((node.id, owner))
+                name = node.id
             elif isinstance(node, ast.Attribute):
-                refs.append((node.attr, owner))
+                name = node.attr
             elif isinstance(node, ast.alias):
-                refs.append((node.name.rsplit(".", 1)[-1], owner))
+                name = node.name.rsplit(".", 1)[-1]
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if id(node) not in docstrings:
-                    refs.append((node.value, owner))
+                if id(node) in docstrings:
+                    continue
+                name = node.value
+            else:
+                continue
+            refs.append((name, owner, method.get(id(node), owner)))
     return refs
 
 
@@ -291,24 +301,34 @@ def test_src_has_no_test_only_public_surface():
     # each public top-level function or class of the package is used by
     # code in src/, demos/ or perfbench/ (not by its own definition and not
     # by a test), is exported by the package, or is on the allow-list with
-    # its reason; names that only tests reach are surface to delete
+    # its reason; so is each public method or property of a public class,
+    # exported or not, where a use anywhere but in its own body counts (by
+    # name, as an attribute); names that only tests reach are surface to delete
     package = REPO / "src" / "fracevol"
-    used, public = set(), []
+    used, public, members = set(), [], []
     for root in (package, REPO / "demos", REPO / "perfbench"):
         for path in sorted(root.rglob("*.py")):
             if path.name.startswith("test_"):
                 continue
             tree = ast.parse(path.read_text())
-            used |= {(name, path, owner) for name, owner in _code_references(tree)}
-            if path.parent == package:
-                public += [
-                    (path, node.name) for node in tree.body
-                    if isinstance(node, _DEFS) and not node.name.startswith("_")
-                ]
+            used |= {(name, path, *owners) for name, *owners in _code_references(tree)}
+            if path.parent != package:
+                continue
+            tops = [n for n in tree.body if isinstance(n, _DEFS) and not n.name.startswith("_")]
+            public += [(path, node.name) for node in tops]
+            members += [
+                (path, f"{cls.name}.{func.name}", func.name)
+                for cls in tops if isinstance(cls, ast.ClassDef)
+                for func in cls.body
+                if isinstance(func, _DEFS) and not func.name.startswith("_")
+            ]
     unreached = {
         name for path, name in public
         if name not in fracevol.__all__
-        and not any(n == name and (p, o) != (path, name) for n, p, o in used)
+        and not any(n == name and (p, o) != (path, name) for n, p, o, _ in used)
+    } | {
+        qualified for path, qualified, name in members
+        if not any(n == name and (p, o) != (path, qualified) for n, p, _, o in used)
     }
     # a stale entry of the allow-list fails too
     assert unreached == set(TEST_ONLY_PUBLIC), sorted(unreached ^ set(TEST_ONLY_PUBLIC))
@@ -573,19 +593,21 @@ def test_simulate_huge_source_fails_with_one_line_and_no_warning(tmp_path, forci
 def test_steer_diverging_sweep_exits_4_naming_its_cell(tmp_path):
     # a source of gain 3 in every mode: the Picard solve of each cell's
     # first pass diverges; the sweep runs every cell, writes its table and
-    # names each failed cell
+    # names each failed cell and pass, which counts as the cell's one pass
     cfg = tmp_path / "diverge.ini"
     cfg.write_text(DIVERGING_STEER)
     out = run_cli("steer", "--config", str(cfg), "--out", str(tmp_path / "s"))
     assert out.returncode == 4
     first, second = out.stderr.splitlines()
     assert first.startswith(
-        "no convergence: target 0, rho 0.01: Picard iteration diverged: "
+        "no convergence: target 0, rho 0.01: steering pass 1: Picard iteration diverged: "
         "15 consecutive growing updates (iterations=17, "
     )
-    assert second.startswith("no convergence: target 0, rho 1e-06: Picard iteration diverged: ")
+    assert second.startswith(
+        "no convergence: target 0, rho 1e-06: steering pass 1: Picard iteration diverged: "
+    )
     lines = (tmp_path / "s.table.txt").read_text().splitlines()
-    assert [line.split()[2:4] for line in lines[2:4]] == [["nan", "nan"]] * 2
+    assert [line.split()[2:] for line in lines[2:4]] == [["nan", "nan", "1"]] * 2
     assert lines[4:] == [
         "# failed: " + line.removeprefix("no convergence: ") for line in (first, second)
     ]

@@ -511,18 +511,21 @@ def gain_problem(gain):
 def test_steer_stops_a_diverging_sweep_after_ten_growing_passes():
     # mixed passes converge at gain 1.5 (11 and 12 passes), so a sweep here
     # fails in its Picard solves: at gain 3 the solve of every cell's first
-    # pass diverges, and the sweep records each cell, named, and goes on
+    # pass diverges, and the sweep records each cell and pass, named, and goes on
     grid = TimeGrid(1.0, 128)
     target = np.array([0.1, 0.05, 0.02, 0.01])
     table = reachability_experiment(gain_problem(3.0), grid, [target], [1e-2, 1e-6])
-    (tid, rho, err, energy, _), second = table.rows
-    assert (tid, rho) == (0, 1e-2) and math.isnan(err) and math.isnan(energy)
-    assert second[1] == 1e-6 and math.isnan(second[2])
+    (tid, rho, err, energy, count), second = table.rows
+    assert (tid, rho) == (0, 1e-2) and math.isnan(err) and math.isnan(energy) and count == 1
+    assert second[1] == 1e-6 and math.isnan(second[2]) and second[4] == 1
     assert len(table.failures) == 2
     assert table.failures[0].startswith(
-        "target 0, rho 0.01: Picard iteration diverged: 15 consecutive growing updates"
+        "target 0, rho 0.01: steering pass 1: Picard iteration diverged: "
+        "15 consecutive growing updates"
     )
-    assert table.failures[1].startswith("target 0, rho 1e-06: Picard iteration diverged: ")
+    assert table.failures[1].startswith(
+        "target 0, rho 1e-06: steering pass 1: Picard iteration diverged: "
+    )
     # mixing sizes the same updates: a pass whose update doubles wherever
     # it starts stops after 10 growing updates, 11 passes, not after 50
     passes = []

@@ -67,9 +67,6 @@ def test_nonlocal_spec_validation():
         NonlocalSpec(np.array([0.1, 0.2]), np.array([0.5, 0.5]), 1.0)
     with pytest.raises(DomainError):
         NonlocalSpec(np.array([0.1]), np.array([0.5]), 0.0)
-    spec = classical()
-    assert spec.n_points == 0
-    assert demo_coupling().n_points == 2
 
 
 def test_problem_spec_validation():
@@ -388,6 +385,22 @@ def test_verify_residual_on_demo_heat_is_pinned():
     assert abs(rep.equation_residual - 5.6835954178332145e-05) <= 1e-15
 
 
+def test_verify_rejects_a_trajectory_of_another_mode_count():
+    # an 8-mode problem and a 3-mode trajectory: DomainError naming both,
+    # not numpy's broadcast error
+    grid = TimeGrid(1.0, 16)
+    with pytest.raises(DomainError, match="^trajectory mode count 3 is not the problem's 8$"):
+        verify_mild(demo_problem(), Trajectory(grid, np.zeros((17, 3))))
+
+
+def test_verify_rejects_a_trajectory_of_another_horizon():
+    # zero states would pass the residual checks on any horizon
+    prob = ProblemSpec(SpectralModel.dirichlet_laplacian(8), 0.75, classical())
+    traj = Trajectory(TimeGrid(2.0, 16), np.zeros((17, 8)))
+    with pytest.raises(DomainError, match="^trajectory horizon 2.0 is not the problem's 1.0$"):
+        verify_mild(prob, traj)
+
+
 # ------------------------------------------------ manufactured exact solutions
 
 # error of solve_mild against oracles.manufactured_solution at n = 128 and
@@ -591,8 +604,9 @@ def test_declared_lipschitz_constants_hold_in_the_solvers_norm(n_modes, scales, 
 
 
 def test_sine_source_rejects_thin_collocation():
-    with pytest.raises(DomainError):
-        sine_collocation_source(8, collocation=4)
+    # 64 collocation points serve at most 64 modes
+    with pytest.raises(DomainError, match="at most 64 modes, got 65"):
+        sine_collocation_source(65)
 
 
 def test_mode_gain_source():
@@ -622,9 +636,9 @@ def test_batched_sources_match_row_by_row():
             assert np.array_equal(src.fn(t, states[3]), rows[3])
 
 
-def _sine_source_by_dst(t, u, collocation=64):
+def _sine_source_by_dst(t, u):
     # the sine source through two scipy DST-I calls
-    k = collocation
+    k = 64
     coeff = np.zeros(u.shape[:-1] + (k,))
     coeff[..., : u.shape[-1]] = u
     point_vals = math.sqrt(1.0 / (2.0 * math.pi)) * scipy.fft.dst(coeff, type=1, axis=-1)
@@ -640,12 +654,10 @@ def test_sine_source_matches_scipy_dst():
     states = 0.5 * rng.standard_normal((513, 8))
     got = src.fn(grid.nodes, states)
     assert np.max(np.abs(got - _sine_source_by_dst(grid.nodes, states))) <= 1e-15
-    # fewer coefficients than the source was built for, and a wider basis
+    # fewer coefficients than the source was built for
     u = rng.standard_normal((7, 5))
     t = np.linspace(0.0, 1.0, 7)
     assert np.max(np.abs(src.fn(t, u) - _sine_source_by_dst(t, u))) <= 1e-15
-    wide = sine_collocation_source(8, collocation=100)
-    assert np.max(np.abs(wide.fn(t, u) - _sine_source_by_dst(t, u, 100))) <= 1e-15
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -934,6 +946,23 @@ def test_mixed_fixed_point_lands_the_secant_step_and_returns_a_step_value():
     assert u is made[-1]  # what the step returned, not the mix
     with pytest.raises(ConvergenceError, match="did not reach tolerance"):
         _fixed_point(step, np.zeros((4, 2)), tol=1e-12, max_iter=10, run_limit=10)
+
+
+def test_a_failed_step_fails_the_run_in_that_step():
+    # a ConvergenceError from step k (a pass's Picard solve, in steering)
+    # comes back prefixed with the step's name and number, as a DomainError
+    # does, counts k steps and keeps the failed step's own counts in its message
+    def step(x):
+        if len(calls) == 2:
+            raise ConvergenceError("inner run diverged", iterations=17, final_residual=0.5,
+                                   contraction_estimate=1.1, trace=[0.5] * 17)
+        calls.append(x)
+        return 0.5 * x + 1.0
+
+    calls, message = [], r"^pass 3: inner run diverged \(iterations=17, "
+    with pytest.raises(ConvergenceError, match=message) as exc:
+        _fixed_point(step, np.zeros((3, 2)), tol=1e-12, max_iter=10, run_limit=10, name="pass")
+    assert exc.value.iterations == 3
 
 
 def test_a_long_transient_growth_still_converges():

@@ -148,7 +148,6 @@ def test_solve_report_format(tmp_path):
 def test_reachability_table_format(tmp_path):
     table = ReachabilityTable(
         rows=((0, 0.1, 0.05, 0.3, 2), (1, 0.01, 0.005, 0.4, 3)),
-        targets=(np.zeros(1), np.ones(1)),
     )
     path = str(tmp_path / "tab.txt")
     write_reachability_table(path, table)
@@ -162,7 +161,6 @@ def test_reachability_table_format(tmp_path):
 def test_reachability_table_names_each_failed_cell_after_the_rows(tmp_path):
     table = ReachabilityTable(
         rows=((0, 0.1, 0.05, 0.3, 2), (0, 0.01, math.nan, math.nan, 11)),
-        targets=(np.zeros(1),),
         failures=("target 0, rho 0.01: steering pass diverged",),
     )
     path = str(tmp_path / "tab.txt")

@@ -125,7 +125,7 @@ def test_assembly_flow_table_splits_bit_for_bit(ml_calls, case):
     else:
         problem, grid = pinned_problem(times=(), weights=()), TimeGrid(1.0, 16)
     asm = ResponseAssembly(problem, grid)
-    assert len(ml_calls) == 2 + problem.coupling.n_points
+    assert len(ml_calls) == 2 + problem.coupling.times.size
     lams, alpha = problem.model.lambdas, problem.alpha
     for got, times in ((asm.decay_nodes, grid.nodes), (asm.decay_at_pins, problem.coupling.times)):
         alone = spectral.ml_table(lams, alpha, 1.0, times)
